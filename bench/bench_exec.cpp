@@ -11,10 +11,11 @@
 // many cores as slots).
 //
 // Acceptance gate (exit 1 on failure): wall-clock speedup going from 1 to 8
-// compute slots must exceed 1.5x.  Results go to BENCH_exec.json — the
-// wall-derived fields carry "wall" in their key so the baseline watchdog
-// skips them, while the deterministic work counters (tasks, ops, fences,
-// template windows) are compared across runs.
+// compute slots must exceed 1.5x.  Every run must also reach template replay
+// (a failed check aborts).  Results go to BENCH_exec.json — the wall-derived
+// fields carry "wall" in their key so the baseline watchdog skips them, while
+// the deterministic work counters (tasks, ops, fences, template windows) are
+// compared across runs.
 //
 // --check-baseline FILE [--threshold PCT]: regression watchdog against the
 // committed baseline, as in bench_prof / bench_scope.
@@ -36,7 +37,9 @@ namespace {
 using namespace dcr;
 
 constexpr std::size_t kShards = 64;
-constexpr std::size_t kSteps = 3;
+// Steps 0-2 capture, re-record and validate the per-step trace window; every
+// later step replays it, so most of the run is steady-state replay.
+constexpr std::size_t kSteps = 10;
 constexpr std::int64_t kCellsPerTile = 20'000;
 constexpr double kNsPerCell = 10.0;  // ~200us modeled kernel per stencil task
 constexpr int kReps = 5;
@@ -66,6 +69,7 @@ RunResult run(std::uint32_t slots) {
   const auto t1 = std::chrono::steady_clock::now();
   r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   DCR_CHECK(r.stats.completed && !r.stats.determinism_violation);
+  DCR_CHECK(r.stats.template_replays > 0) << "run never reached template replay";
   return r;
 }
 

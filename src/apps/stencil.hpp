@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
 #include "dcr/api.hpp"
 #include "dcr/sharding.hpp"
@@ -43,6 +44,10 @@ struct StencilConfig {
   // sit at different relative offsets), the best an author can do without
   // merging loops.
   std::size_t phase_every = 0;
+  // Optional: runs in each shard's control program at the end of every
+  // timestep, after its launches.  Issues nothing by itself; tests use it to
+  // inspect a shard's runtime state while the program is under way.
+  std::function<void(core::Context&)> after_step = nullptr;
 };
 
 // Near-square 2-D factorization of n (for n-node grid tilings).
@@ -205,6 +210,7 @@ inline core::ApplicationMain make_stencil_app(const StencilConfig& cfg,
         // what marks the residual chain SDC-critical.
         if (r < 0.0) break;
       }
+      if (cfg.after_step) cfg.after_step(ctx);
     }
     ctx.execution_fence();
   };

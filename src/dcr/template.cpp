@@ -5,9 +5,7 @@
 #include <sstream>
 #include <utility>
 
-#include "analysis/semantics.hpp"
 #include "common/check.hpp"
-#include "runtime/task_graph.hpp"
 
 namespace dcr::core {
 
@@ -253,71 +251,75 @@ bool audit_template(const DependenceTemplate& t, const rt::RegionForest& forest,
     }
   }
 
-  // 2. DEPseq audit over the recorded fine-stage plans: run the executable
-  //    sequential semantics on this shard's recorded points with the concrete
-  //    requirements_conflict oracle, and check every point-level dependence
-  //    among in-window points is covered by a transitive recorded coarse
-  //    dependence (direct edges or fence-ordered barriers).
-  constexpr std::uint64_t kStride = 1ull << 20;
-  an::AProgram prog;
-  std::map<std::uint64_t, const PointPlan*> plans;
+  // 2. DEPseq audit over the recorded fine-stage plans.  DEPseq
+  //    (analysis/semantics.hpp) run on this shard's recorded points with the
+  //    concrete requirements_conflict oracle orders point u of op pu before
+  //    point v of a later op pv iff they conflict; the recording is sound iff
+  //    every such pair is covered by the op-level ordering it implies.  So
+  //    build that ordering first and query the oracle only for op pairs it
+  //    leaves unordered: no DEPseq task graph is materialized.
+  //
+  //    Op-level ordering: every dep (elided or fenced) and every fence source
+  //    with an in-window target, transitively closed by Warshall over rows of
+  //    64-bit words (O(n^3 / 64)).
+  const std::size_t words = (n + 63) / 64;
+  std::vector<std::uint64_t> reach(n * words, 0);
+  auto row = [&](std::size_t i) { return reach.data() + i * words; };
+  auto reaches = [&](std::size_t i, std::size_t j) {
+    return (row(i)[j / 64] >> (j % 64) & 1) != 0;
+  };
+  auto order = [&](std::size_t i, std::size_t j) { row(i)[j / 64] |= 1ull << (j % 64); };
   for (std::size_t pos = 0; pos < n; ++pos) {
-    an::ATaskGroup group;
-    if (t.ops[pos].plan) {
-      DCR_CHECK(t.ops[pos].plan->size() < kStride);
-      for (std::size_t i = 0; i < t.ops[pos].plan->size(); ++i) {
-        const TaskId tid(pos * kStride + i);
-        group.push_back({tid, ShardId(0)});
-        plans[tid.value] = &(*t.ops[pos].plan)[i];
+    for (const TemplateDep& d : t.ops[pos].deps) {
+      if (!d.absolute && d.prev_offset <= pos) order(pos - d.prev_offset, pos);
+    }
+    for (const TemplateFence& f : t.ops[pos].fences) {
+      if (!f.absolute && f.prev_offset >= 1 && f.prev_offset <= pos) {
+        order(pos - f.prev_offset, pos);
       }
     }
-    prog.push_back(std::move(group));
   }
-  const an::Oracle oracle = [&](TaskId a, TaskId b) {
-    const PointPlan* pa = plans.at(a.value);
-    const PointPlan* pb = plans.at(b.value);
-    for (const rt::Requirement& ra : pa->reqs) {
-      for (const rt::Requirement& rb : pb->reqs) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::uint64_t* rk = row(k);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!reaches(i, k)) continue;
+      std::uint64_t* ri = row(i);
+      for (std::size_t w = 0; w < words; ++w) ri[w] |= rk[w];
+    }
+  }
+
+  //    Point pairs are visited in (pu, i, pv, j) order, the order in which a
+  //    DEPseq graph over task ids pu * stride + i lists its edges, so the
+  //    first uncovered dependence reported is the one a walk of that graph
+  //    would report.
+  auto conflict = [&](const PointPlan& a, const PointPlan& b) {
+    for (const rt::Requirement& ra : a.reqs) {
+      for (const rt::Requirement& rb : b.reqs) {
         if (rt::requirements_conflict(forest, ra, rb)) return true;
       }
     }
     return false;
   };
-  const rt::TaskGraph g = an::analyze_sequential(prog, oracle);
-
-  // Op-level ordering implied by the recording: every dep (elided or fenced)
-  // and every fence source with an in-window target, transitively closed.
-  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    for (const TemplateDep& d : t.ops[pos].deps) {
-      if (!d.absolute && d.prev_offset <= pos) reach[pos - d.prev_offset][pos] = true;
+  std::vector<std::size_t> unordered;  // later ops with points, not reached from pu
+  for (std::size_t pu = 0; pu < n; ++pu) {
+    if (!t.ops[pu].plan) continue;
+    unordered.clear();
+    for (std::size_t pv = pu + 1; pv < n; ++pv) {
+      if (t.ops[pv].plan && !reaches(pu, pv)) unordered.push_back(pv);
     }
-    for (const TemplateFence& f : t.ops[pos].fences) {
-      if (!f.absolute && f.prev_offset >= 1 && f.prev_offset <= pos) {
-        reach[pos - f.prev_offset][pos] = true;
-      }
-    }
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!reach[i][k]) continue;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (reach[k][j]) reach[i][j] = true;
-      }
-    }
-  }
-
-  for (TaskId u : g.tasks()) {
-    for (TaskId v : g.successors(u)) {
-      const std::size_t pu = static_cast<std::size_t>(u.value / kStride);
-      const std::size_t pv = static_cast<std::size_t>(v.value / kStride);
-      if (pu == pv) continue;  // intra-group: tasks of one launch
-      if (!reach[pu][pv]) {
-        std::ostringstream os;
-        os << "DEPseq finds a point-level dependence from op " << pu << " (point "
-           << (u.value % kStride) << ") to op " << pv << " (point " << (v.value % kStride)
-           << ") not covered by any recorded coarse dependence";
-        return fail(os.str());
+    if (unordered.empty()) continue;
+    const PointPlanList& us = *t.ops[pu].plan;
+    for (std::size_t i = 0; i < us.size(); ++i) {
+      for (const std::size_t pv : unordered) {
+        const PointPlanList& vs = *t.ops[pv].plan;
+        for (std::size_t j = 0; j < vs.size(); ++j) {
+          if (!conflict(us[i], vs[j])) continue;
+          std::ostringstream os;
+          os << "DEPseq finds a point-level dependence from op " << pu << " (point " << i
+             << ") to op " << pv << " (point " << j
+             << ") not covered by any recorded coarse dependence";
+          return fail(os.str());
+        }
       }
     }
   }

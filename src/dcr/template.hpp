@@ -237,6 +237,13 @@ class TemplateManager {
 //      run over the recorded fine-stage point plans with the concrete
 //      requirements_conflict oracle, finds no point-level dependence that is
 //      not covered by a (transitive) recorded coarse dependence.
+// Part 2 is checked closure-first, without materializing the DEPseq task
+// graph: the op-level ordering the recording implies (deps and in-window
+// fence sources) is transitively closed as bit rows, O(n^3 / 64) word ops for
+// n ops, and the oracle is then queried only for point pairs of op pairs that
+// ordering leaves unordered.  A DEPseq edge between ordered ops can never
+// fail the check, so the verdict is DEPseq's; pairs are visited in the order
+// a DEPseq graph walk lists its edges, so the first failure reported is too.
 // Returns false and fills `why` if the recording is unsound.
 bool audit_template(const DependenceTemplate& t, const rt::RegionForest& forest,
                     std::string* why = nullptr);

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/philox.hpp"
@@ -163,15 +164,18 @@ inline LoopDcrProgram generate_loop(Philox4x32& rng, std::size_t tiles) {
   return p;
 }
 
-inline core::ApplicationMain materialize_loop(const LoopDcrProgram& p, FunctionId fn,
-                                              bool use_trace,
-                                              TraceId trace = TraceId(1)) {
-  return [p, fn, use_trace, trace](core::Context& ctx) {
+// `after_window` (optional) runs in each shard's control program after every
+// iteration's window closes.
+inline core::ApplicationMain materialize_loop(
+    const LoopDcrProgram& p, FunctionId fn, bool use_trace, TraceId trace = TraceId(1),
+    std::function<void(core::Context&)> after_window = {}) {
+  return [p, fn, use_trace, trace, after_window](core::Context& ctx) {
     const std::vector<FuzzTreeState> trees = build_trees(ctx, p.body);
     for (std::size_t i = 0; i < p.iterations; ++i) {
       if (use_trace) ctx.begin_trace(trace);
       emit_ops(ctx, p.body, trees, fn);
       if (use_trace) ctx.end_trace(trace);
+      if (after_window) after_window(ctx);
     }
     ctx.execution_fence();
   };

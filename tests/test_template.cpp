@@ -5,14 +5,22 @@
 // with fresh analysis every iteration, and both pass the dcr-spy offline
 // verifier.  Negative tests seed stale-template mutations between capture and
 // validation and prove the validation pass catches them; unit tests drive the
-// DEPseq audit directly.  Template/recovery interaction: a shard crash while
-// a cached template is mid-replay drops the dead shard's templates and the
-// replacement rebuilds from scratch with an equivalent graph.
+// DEPseq audit directly, and differential tests hold it to a reference audit
+// that materializes the full DEPseq task graph.  Template/recovery
+// interaction: a shard crash while a cached template is mid-replay drops the
+// dead shard's templates and the replacement rebuilds from scratch with an
+// equivalent graph.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "analysis/semantics.hpp"
+#include "apps/stencil.hpp"
 #include "common/philox.hpp"
 #include "dcr/runtime.hpp"
 #include "dcr/template.hpp"
@@ -60,6 +68,134 @@ void expect_clean(const LoopRun& run, const char* what, std::uint64_t seed) {
                            << (report.findings.empty() ? "" : "\n  " + report.findings[0].message);
 }
 
+// ------------------------------------------------ reference DEPseq audit
+
+// audit_template() as it stood before it went closure-first, kept as the
+// oracle the differential tests hold it to.  Part 1 reads no point plans, so
+// auditing a plan-free copy runs exactly part 1; part 2 then materializes the
+// whole DEPseq task graph with analyze_sequential and walks its edges
+// against a dense Floyd-Warshall closure of the recorded ordering.
+bool audit_template_reference(const DependenceTemplate& t, const rt::RegionForest& forest,
+                              std::string* why) {
+  DependenceTemplate coarse_only = t;
+  for (TemplateOp& op : coarse_only.ops) op.plan.reset();
+  if (!audit_template(coarse_only, forest, why)) return false;
+
+  const std::size_t n = t.ops.size();
+  constexpr std::uint64_t kStride = 1ull << 20;
+  an::AProgram prog;
+  std::map<std::uint64_t, const PointPlan*> plans;
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    an::ATaskGroup group;
+    if (t.ops[pos].plan) {
+      for (std::size_t i = 0; i < t.ops[pos].plan->size(); ++i) {
+        const TaskId tid(pos * kStride + i);
+        group.push_back({tid, ShardId(0)});
+        plans[tid.value] = &(*t.ops[pos].plan)[i];
+      }
+    }
+    prog.push_back(std::move(group));
+  }
+  const an::Oracle oracle = [&](TaskId a, TaskId b) {
+    for (const rt::Requirement& ra : plans.at(a.value)->reqs) {
+      for (const rt::Requirement& rb : plans.at(b.value)->reqs) {
+        if (rt::requirements_conflict(forest, ra, rb)) return true;
+      }
+    }
+    return false;
+  };
+  const rt::TaskGraph g = an::analyze_sequential(prog, oracle);
+
+  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    for (const TemplateDep& d : t.ops[pos].deps) {
+      if (!d.absolute && d.prev_offset <= pos) reach[pos - d.prev_offset][pos] = true;
+    }
+    for (const TemplateFence& f : t.ops[pos].fences) {
+      if (!f.absolute && f.prev_offset >= 1 && f.prev_offset <= pos) {
+        reach[pos - f.prev_offset][pos] = true;
+      }
+    }
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!reach[i][k]) continue;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (reach[k][j]) reach[i][j] = true;
+      }
+    }
+  }
+
+  for (TaskId u : g.tasks()) {
+    for (TaskId v : g.successors(u)) {
+      const std::size_t pu = static_cast<std::size_t>(u.value / kStride);
+      const std::size_t pv = static_cast<std::size_t>(v.value / kStride);
+      if (pu == pv || reach[pu][pv]) continue;
+      std::ostringstream os;
+      os << "DEPseq finds a point-level dependence from op " << pu << " (point "
+         << (u.value % kStride) << ") to op " << pv << " (point " << (v.value % kStride)
+         << ") not covered by any recorded coarse dependence";
+      if (why) *why = os.str();
+      return false;
+    }
+  }
+  return true;
+}
+
+// Runs audit_template() and the reference on `t`, expects the same verdict
+// and the same message, and returns the reference's message ("" on a pass).
+std::string expect_same_audit(const DependenceTemplate& t, const rt::RegionForest& forest,
+                              const std::string& what) {
+  std::string why, ref_why;
+  const bool ok = audit_template(t, forest, &why);
+  const bool ref_ok = audit_template_reference(t, forest, &ref_why);
+  EXPECT_EQ(ok, ref_ok) << what << ": " << ref_why;
+  EXPECT_EQ(why, ref_why) << what;
+  return ref_why;
+}
+
+enum class Mutation { DropDep, DropFence, WidenPrivilege };
+constexpr Mutation kMutations[] = {Mutation::DropDep, Mutation::DropFence,
+                                   Mutation::WidenPrivilege};
+
+// Seeded one-place corruption of a recording: drop one recorded dependence,
+// drop one fence, or widen one point requirement's privilege to ReadWrite.
+// Returns false when `t` has nothing of that kind.
+bool mutate(DependenceTemplate& t, Mutation m, Philox4x32& rng) {
+  std::vector<std::size_t> candidates;
+  for (std::size_t pos = 0; pos < t.ops.size(); ++pos) {
+    const TemplateOp& op = t.ops[pos];
+    const bool has = m == Mutation::DropDep     ? !op.deps.empty()
+                     : m == Mutation::DropFence ? !op.fences.empty()
+                                                : op.plan && !op.plan->empty();
+    if (has) candidates.push_back(pos);
+  }
+  if (candidates.empty()) return false;
+  TemplateOp& op = t.ops[candidates[rng.next_below(candidates.size())]];
+  switch (m) {
+    case Mutation::DropDep:
+      op.deps.erase(op.deps.begin() +
+                    static_cast<std::ptrdiff_t>(rng.next_below(op.deps.size())));
+      return true;
+    case Mutation::DropFence:
+      op.fences.erase(op.fences.begin() +
+                      static_cast<std::ptrdiff_t>(rng.next_below(op.fences.size())));
+      return true;
+    case Mutation::WidenPrivilege: {
+      // Copy on write: the plan is shared with the recording it came from.
+      auto plan = std::make_shared<PointPlanList>(*op.plan);
+      PointPlan& point = (*plan)[rng.next_below(plan->size())];
+      if (point.reqs.empty()) return false;
+      rt::Requirement& req = point.reqs[rng.next_below(point.reqs.size())];
+      req.privilege = rt::Privilege::ReadWrite;
+      req.redop = rt::kNoRedop;
+      op.plan = std::move(plan);
+      return true;
+    }
+  }
+  return false;
+}
+
 // ------------------------------------------------- on/off graph equivalence
 
 class TemplateFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -78,6 +214,41 @@ TEST_P(TemplateFuzz, ReplayedGraphMatchesFreshAnalysis) {
   EXPECT_EQ(on.stats.point_tasks_launched, off.stats.point_tasks_launched)
       << "seed " << seed;
   EXPECT_EQ(off.stats.template_replays, 0u);
+}
+
+// Differential audit over the same 200 programs: every template the run
+// records, as it stands after each window, and a seeded mutation of each.
+TEST_P(TemplateFuzz, AuditMatchesReference) {
+  const std::uint64_t seed = GetParam();
+  Philox4x32 rng(fuzz::seed_for_label("template", seed), /*stream=*/5);
+  const fuzz::LoopDcrProgram program = fuzz::generate_loop(rng, /*tiles=*/6);
+  sim::Machine machine(cluster(4));
+  FunctionRegistry functions;
+  const FunctionId fn = functions.register_simple("t", us(1), 1.0);
+  DcrRuntime rt(machine, functions, DcrConfig{});
+  // The simulator runs one shard's control program at a time.
+  std::vector<DependenceTemplate> recorded;
+  const DcrStats stats = rt.execute(fuzz::materialize_loop(
+      program, fn, /*use_trace=*/true, TraceId(1), [&](Context& ctx) {
+        if (const DependenceTemplate* t = rt.shard_templates(ctx.shard_id()).find(TraceId(1))) {
+          recorded.push_back(*t);
+        }
+      }));
+  ASSERT_TRUE(stats.completed) << "seed " << seed;
+  ASSERT_FALSE(recorded.empty()) << "seed " << seed;
+
+  Philox4x32 mutations(fuzz::seed_for_label("template-audit", seed));
+  for (std::size_t k = 0; k < recorded.size(); ++k) {
+    const std::string what = "seed " + std::to_string(seed) + " template " + std::to_string(k);
+    expect_same_audit(recorded[k], rt.forest(), what);
+    for (const Mutation m : kMutations) {
+      DependenceTemplate mutated = recorded[k];
+      if (mutate(mutated, m, mutations)) {
+        expect_same_audit(mutated, rt.forest(),
+                          what + " mutation " + std::to_string(static_cast<int>(m)));
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TemplateFuzz, ::testing::Range<std::uint64_t>(0, 200));
@@ -249,6 +420,120 @@ TEST(TemplateAudit, UnprovableElisionFails) {
   // partition is provably shard-local and the audit accepts it.
   t.ops[1].summaries[0] = index_summary(tree, FieldId(0), p1, rt::Privilege::ReadWrite);
   EXPECT_TRUE(audit_template(t, forest, &why)) << why;
+}
+
+// Hand-built point plan: one point accessing `region` on field 0.
+std::shared_ptr<const PointPlanList> one_point(IndexSpaceId region, rt::Privilege priv) {
+  PointPlan point;
+  point.reqs.push_back({region, {FieldId(0)}, priv});
+  return std::make_shared<const PointPlanList>(PointPlanList{point});
+}
+
+// Part 2 of the audit: two ops whose points write overlapping subregions of
+// one field, with no recorded dependence and no fence.  Part 1 has nothing to
+// check, so only the DEPseq point audit can see the race.
+TEST(TemplateAudit, UncoveredPointDependenceFails) {
+  rt::RegionForest forest;
+  const FieldSpaceId fs = forest.create_field_space();
+  const RegionTreeId tree = forest.create_tree(rt::Rect::r1(0, 63), fs);
+  const PartitionId halo = forest.partition_with_halo(forest.root(tree), 4, 2);
+
+  DependenceTemplate t;
+  t.ops.resize(2);
+  t.ops[0].plan = one_point(forest.subregion(halo, 1), rt::Privilege::ReadWrite);
+  t.ops[1].plan = one_point(forest.subregion(halo, 2), rt::Privilege::ReadWrite);
+  std::string why;
+  EXPECT_FALSE(audit_template(t, forest, &why));
+  EXPECT_EQ(why,
+            "DEPseq finds a point-level dependence from op 0 (point 0) to op 1 (point 0) "
+            "not covered by any recorded coarse dependence");
+}
+
+// Positive control: A -> B and B -> C are recorded (fenced) and A conflicts
+// with C only at point level.  The transitive ordering covers it.
+TEST(TemplateAudit, PointDependenceCoveredTransitivelyPasses) {
+  rt::RegionForest forest;
+  const FieldSpaceId fs = forest.create_field_space();
+  const RegionTreeId tree = forest.create_tree(rt::Rect::r1(0, 63), fs);
+  const IndexSpaceId root = forest.root(tree);
+  const PartitionId halo = forest.partition_with_halo(root, 4, 2);
+  const PartitionId owned = forest.partition_equal(root, 4);
+
+  DependenceTemplate t;
+  t.ops.resize(3);
+  t.ops[0].plan = one_point(forest.subregion(halo, 1), rt::Privilege::ReadWrite);  // A
+  t.ops[1].plan = one_point(forest.subregion(owned, 3), rt::Privilege::ReadWrite);  // B
+  t.ops[2].plan = one_point(forest.subregion(halo, 2), rt::Privilege::ReadWrite);  // C
+  for (std::size_t pos : {1u, 2u}) {
+    t.ops[pos].deps.push_back({/*prev_offset=*/1, /*abs_source=*/0, /*absolute=*/false, tree,
+                               FieldId(0), /*elided=*/false});
+    t.ops[pos].fences.push_back({/*prev_offset=*/1, /*abs_source=*/0, /*absolute=*/false});
+  }
+  std::string why;
+  EXPECT_TRUE(audit_template(t, forest, &why)) << why;
+
+  // Without B -> C nothing orders A before C.
+  t.ops[2].deps.clear();
+  t.ops[2].fences.clear();
+  EXPECT_FALSE(audit_template(t, forest, &why));
+  EXPECT_EQ(why,
+            "DEPseq finds a point-level dependence from op 0 (point 0) to op 2 (point 0) "
+            "not covered by any recorded coarse dependence");
+}
+
+// The window the audit exists for: the 350-op, two-phase period that the
+// phase_every = 50 stencil promotes under automatic trace identification (16
+// tiles on 4 shards), on every shard, plus a seeded mutation of each kind.
+TEST(TemplateAudit, MatchesReferenceOnPhaseAutoWindow) {
+  sim::Machine machine(cluster(4));
+  FunctionRegistry functions;
+  // Zero-cost tasks: the recording depends only on the control program, and
+  // the simulator then has no task work to model.
+  apps::StencilFunctions fns;
+  fns.add_one = functions.register_simple("add_one", 0, 0.0);
+  fns.mul_two = functions.register_simple("mul_two", 0, 0.0);
+  fns.stencil = functions.register_simple("stencil", 0, 0.0);
+  apps::StencilConfig sc{.cells_per_tile = 32, .tiles = 16, .steps = 700};
+  sc.phase_every = 50;
+  DcrConfig cfg;
+  cfg.auto_trace.enabled = true;
+  DcrRuntime rt(machine, functions, cfg);
+  // The runtime discards the auto window still open when the program ends,
+  // and its template with it, so copy each shard's largest validated
+  // template while the program is under way.
+  std::vector<DependenceTemplate> windows(4);
+  sc.after_step = [&](Context& ctx) {
+    TemplateManager& tm = rt.shard_templates(ctx.shard_id());
+    for (const auto& [launch, id] : rt.shard_auto_tracer(ctx.shard_id()).promotion_log()) {
+      const DependenceTemplate* t = tm.find(TraceId(id));
+      DependenceTemplate& largest = windows[ctx.shard_id().value];
+      if (t && t->state == DependenceTemplate::State::Validated &&
+          t->ops.size() > largest.ops.size()) {
+        largest = *t;
+      }
+    }
+  };
+  const DcrStats stats = rt.execute(apps::make_stencil_app(sc, fns));
+  ASSERT_TRUE(stats.completed) << stats.abort_message;
+  ASSERT_GT(stats.template_replays, 0u);
+
+  Philox4x32 mutations(fuzz::seed_for_label("template-audit", 350));
+  std::size_t depseq_failures = 0;
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    const DependenceTemplate& window = windows[s];
+    ASSERT_EQ(window.ops.size(), 350u) << "shard " << s;
+    const std::string what = "shard " + std::to_string(s);
+    EXPECT_EQ(expect_same_audit(window, rt.forest(), what), "");
+    for (const Mutation m : kMutations) {
+      DependenceTemplate mutated = window;
+      ASSERT_TRUE(mutate(mutated, m, mutations));
+      const std::string why = expect_same_audit(
+          mutated, rt.forest(), what + " mutation " + std::to_string(static_cast<int>(m)));
+      if (why.rfind("DEPseq", 0) == 0) depseq_failures++;
+    }
+  }
+  // Some mutation must reach part 2, or this would compare part 1 only.
+  EXPECT_GT(depseq_failures, 0u);
 }
 
 // ------------------------------------------------- recovery interaction

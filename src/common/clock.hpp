@@ -3,7 +3,7 @@
 // The simulator backend stamps spans with virtual nanoseconds (sim::SimClock
 // reads the event calendar); the real-threads backend stamps them with wall
 // nanoseconds (exec::WallClock reads std::chrono::steady_clock).  Everything
-// downstream — prof::Scope, the Chrome trace exporter, the scope blame
+// downstream — prof spans, the Chrome trace exporter, the scope blame
 // ledgers — consumes SimTime without knowing which kind it holds, so the two
 // backends share the instrumentation layers unchanged.
 #pragma once

@@ -10,73 +10,73 @@
 
 namespace dcr::core {
 
-// SigBuilder and the per-API sig_* encoders live in dcr/sig.hpp, and the op
-// model (kPointsPerOp, payloads, CoarseDecision) in dcr/ops.hpp — shared with
-// the real-threads backend so both produce identical §3 hash streams.
+// SigBuilder and the per-API sig_* encoders live in dcr/sig.hpp, the op
+// model (kPointsPerOp, payloads, CoarseDecision) in dcr/ops.hpp, and the
+// control-plane front end (hash-and-issue API calls, trace windows, template
+// plumbing) in dcr/shard_front.hpp — shared with the real-threads backend so
+// both produce identical §3 hash streams and template decisions.
 
 // ===========================================================================
-// ShardContext: the per-shard implementation of the application API.
+// ShardContext: the simulator's half of the per-shard application API.
 // ===========================================================================
-class ShardContext final : public Context {
+class ShardContext final : public ShardFront {
  public:
   ShardContext(DcrRuntime& rt, ShardId shard, sim::ProcessContext& pctx)
-      : rt_(rt), shard_(shard), pctx_(pctx), st_(rt.shard(shard)) {}
+      : ShardFront(rt.shard(shard),
+                   {rt.forest_, rt.shardings_, rt.projections_, rt.profiler_, rt.clock_,
+                    rt.trace_.get(), rt.config_.mapper, rt.num_shards(),
+                    rt.config_.tracing_enabled, rt.config_.template_validation,
+                    rt.config_.auto_trace.enabled}),
+        rt_(rt),
+        shard_(shard),
+        pctx_(pctx),
+        state_(rt.shard(shard)) {}
 
-  // Each API call charges control-program time, hashes its identity and
-  // arguments, and feeds the determinism checker (paper §3).
+  // Each API call charges control-program time and feeds the determinism
+  // checker (paper §3).
   //
   // A replacement shard re-executes the control program from the top; calls
   // below replay_calls_end were already contributed by the dead incarnation
   // (they are in its commit log), so the replay charges only a fast-forward
   // cost and does NOT re-arrive at the determinism collectives.  The call
   // index sequence stays aligned with the live shards either way.
-  void api_call(const char* name, SigBuilder& sig) {
-    const Hash128 h = sig.finish();
-    st_.last_template_hash = sig.tfinish();
-    const bool replaying = st_.api_calls < st_.replay_calls_end;
-    if (replaying) {
+  void on_api_call(const char* name, const Hash128& h, SigBuilder& sig) override {
+    if (state_.api_calls < state_.replay_calls_end) {
       // The dead incarnation already contributed this call (and its spy
       // trace record); a replay only fast-forwards.  The template manager
       // still sees the call so a replacement shard re-captures templates
       // while fast-forwarding through trace windows.
       pctx_.delay(rt_.config_.replay_call_cost);
-      st_.api_calls++;
-      auto_trace_observe();
-      if (rt_.config_.tracing_enabled) st_.templates.on_call(st_.last_template_hash);
+      advance_call();
       return;
     }
     SimTime cost = rt_.config_.issue_cost;
     if (rt_.checker_.enabled()) cost += rt_.config_.hash_cost;
     pctx_.delay(cost);
-    rt_.checker_.record(shard_, st_.api_calls, h, name);
-    if (rt_.checker_.enabled()) stats().determinism_checks++;
-    if (rt_.trace_) {
-      rt_.trace_->calls[shard_.value].push_back(
-          {st_.api_calls, name, h, sig.take_args()});
-    }
-    st_.commit.record_call(st_.api_calls);
-    st_.api_calls++;
-    auto_trace_observe();
-    if (rt_.config_.tracing_enabled) st_.templates.on_call(st_.last_template_hash);
-    st_.last_heard = pctx_.now();  // lease refresh, piggybacked on API traffic
-    if (st_.pending_report >= 0) {
+    rt_.checker_.record(shard_, state_.api_calls, h, name);
+    if (rt_.checker_.enabled()) rt_.stats_.determinism_checks++;
+    spy_call(name, h, sig);
+    state_.commit.record_call(state_.api_calls);
+    advance_call();
+    state_.last_heard = pctx_.now();  // lease refresh, piggybacked on API traffic
+    if (state_.pending_report >= 0) {
       // First live (non-replayed) call: the replacement has caught up to the
       // failure frontier.
-      FailureReport& rep = rt_.failures_[static_cast<std::size_t>(st_.pending_report)];
+      FailureReport& rep = rt_.failures_[static_cast<std::size_t>(state_.pending_report)];
       rep.recovered = true;
       rep.recovered_at = pctx_.now();
       // Recovery lane rather than Control: the fast-forward may straddle
       // trace-window boundaries, which would break Control-lane nesting.
       rt_.profiler_.emit({prof::SpanKind::RecoveryFastForward, prof::Lane::Recovery,
                           shard_.value, rep.replay_started, rt_.clock_.now()});
-      st_.pending_report = -1;
+      state_.pending_report = -1;
     }
   }
 
-  DcrStats& stats() { return rt_.stats_; }
+  void issue(OpPayload payload) override { rt_.issue(*this, std::move(payload)); }
 
-  // Whether sig_* encoders should capture named arguments for the spy trace.
-  bool cap() const { return rt_.trace_ != nullptr; }
+  std::uint64_t recovery_epoch() const override { return rt_.recovery_epoch_; }
+  std::uint64_t deletion_epoch() const override { return state_.deletions_processed; }
 
   // dcr-prof accounting for a control-program block that started at
   // `started`: always-on wait counters + histogram, plus a Control-lane span
@@ -96,12 +96,12 @@ class ShardContext final : public Context {
   // ---- replication-safe creations ----
   template <typename T, typename MakeFn>
   T replicated_create(MakeFn&& make) {
-    if (st_.next_creation == rt_.creations_.size()) {
+    if (state_.next_creation == rt_.creations_.size()) {
       rt_.creations_.push_back({make()});
     }
-    DCR_CHECK(st_.next_creation < rt_.creations_.size())
+    DCR_CHECK(state_.next_creation < rt_.creations_.size())
         << "shard " << shard_.value << " creation stream ran ahead";
-    auto& entry = rt_.creations_[st_.next_creation++];
+    auto& entry = rt_.creations_[state_.next_creation++];
     DCR_CHECK(std::holds_alternative<T>(entry.handle))
         << "creation kind diverged across shards (control determinism violation)";
     return std::get<T>(entry.handle);
@@ -125,8 +125,6 @@ class ShardContext final : public Context {
     api_call("create_region", sb);
     return replicated_create<RegionTreeId>([&] { return rt_.forest_.create_tree(bounds, fs); });
   }
-
-  IndexSpaceId root(RegionTreeId tree) override { return rt_.forest_.root(tree); }
 
   PartitionId partition_equal(IndexSpaceId parent, std::size_t pieces, int axis) override {
     SigBuilder sb = sig_partition_equal(cap(), parent, pieces, axis);
@@ -159,65 +157,15 @@ class ShardContext final : public Context {
         [&] { return rt_.forest_.partition_grid(parent, tiles_x, tiles_y, halo); });
   }
 
-  void destroy_region(RegionTreeId tree) override {
-    SigBuilder sb = sig_destroy_region(cap(), tree);
-    api_call("destroy_region", sb);
-    rt_.issue(*this, DeletePayload{tree});
-  }
-
   void destroy_region_deferred(RegionTreeId tree) override {
     // GC-finalizer path: deliberately NOT hashed/checked — shards may call it
     // at different control points; the runtime reaches consensus by polling
     // (paper §4.3) before inserting the deletion into the analysis stream.
-    st_.deferred_requests.push_back(tree);
+    state_.deferred_requests.push_back(tree);
     rt_.start_deferred_poller();
   }
 
-  const rt::RegionForest& forest() const override { return rt_.forest_; }
-
-  // ---- operations ----
-  void fill(IndexSpaceId region, std::vector<FieldId> fields) override {
-    SigBuilder sb = sig_fill(cap(), region, fields);
-    api_call("fill", sb);
-    rt_.issue(*this, FillPayload{region, std::move(fields)});
-  }
-
-  Future launch(const TaskLaunch& launch) override {
-    SigBuilder sb = sig_launch(cap(), launch);
-    api_call("launch", sb);
-    TaskPayload p{launch, ~0ull};
-    Future f;
-    if (launch.wants_future) {
-      f.id = st_.next_future++;
-      p.future_id = f.id;
-    }
-    rt_.issue(*this, std::move(p));
-    return f;
-  }
-
-  FutureMap index_launch(const IndexLaunch& launch) override {
-    SigBuilder sb = sig_index_launch(cap(), launch);
-    api_call("index_launch", sb);
-    IndexPayload p{launch, ~0ull};
-    FutureMap fm;
-    if (launch.wants_futures) {
-      fm.id = st_.next_future_map++;
-      p.future_map_id = fm.id;
-    }
-    rt_.issue(*this, std::move(p));
-    return fm;
-  }
-
-  Future reduce_future_map(const FutureMap& fm, ReduceOp op) override {
-    SigBuilder sb = sig_reduce_future_map(cap(), fm, op);
-    api_call("reduce_future_map", sb);
-    DCR_CHECK(fm.valid()) << "reducing an invalid future map";
-    Future f;
-    f.id = st_.next_future++;
-    rt_.issue(*this, ReducePayload{fm.id, op, f.id});
-    return f;
-  }
-
+  // ---- futures and fences ----
   double get_future(const Future& f) override {
     SigBuilder sb = sig_get_future(cap(), f);
     api_call("get_future", sb);
@@ -263,148 +211,12 @@ class ShardContext final : public Context {
     // tracker; then wait for all of them to complete.
     const SimTime wait_start = rt_.clock_.now();
     rt_.issue(*this, FencePayload{});
-    pctx_.wait(st_.fine_tail);
+    pctx_.wait(state_.fine_tail);
     while (!rt_.quiescence_.idle()) pctx_.wait(rt_.quiescence_.idle_event());
     rt_.profiler_.shard(shard_.value).add(prof::Counter::ExecutionFences);
     rt_.profiler_.emit({prof::SpanKind::ExecutionFence, prof::Lane::Control, shard_.value,
                         wait_start, rt_.clock_.now()});
   }
-
-  void attach_file(IndexSpaceId region, std::vector<FieldId> fields,
-                   std::string file) override {
-    SigBuilder sb = sig_attach_file(cap(), region, fields, file);
-    api_call("attach_file", sb);
-    AttachPayload p;
-    p.region = region;
-    p.fields = std::move(fields);
-    p.file = std::move(file);
-    rt_.issue(*this, std::move(p));
-  }
-
-  void detach_file(IndexSpaceId region, std::vector<FieldId> fields) override {
-    SigBuilder sb = sig_detach_file(cap(), region, fields);
-    api_call("detach_file", sb);
-    AttachPayload p;
-    p.region = region;
-    p.fields = std::move(fields);
-    p.detach = true;
-    rt_.issue(*this, std::move(p));
-  }
-
-  void attach_file_group(PartitionId partition, std::vector<FieldId> fields,
-                         std::string file_basename) override {
-    SigBuilder sb = sig_attach_file_group(cap(), partition, fields, file_basename);
-    api_call("attach_file_group", sb);
-    AttachPayload p;
-    p.partition = partition;
-    p.fields = std::move(fields);
-    p.file = std::move(file_basename);
-    rt_.issue(*this, std::move(p));
-  }
-
-  void detach_file_group(PartitionId partition, std::vector<FieldId> fields) override {
-    SigBuilder sb = sig_detach_file_group(cap(), partition, fields);
-    api_call("detach_file_group", sb);
-    AttachPayload p;
-    p.partition = partition;
-    p.fields = std::move(fields);
-    p.detach = true;
-    rt_.issue(*this, std::move(p));
-  }
-
-  // ---- tracing (dependence templates, dcr/template.hpp) ----
-  void begin_trace(TraceId id) override {
-    SigBuilder sb = sig_begin_trace(cap(), id);
-    api_call("begin_trace", sb);
-    if (!rt_.config_.tracing_enabled) return;
-    if (st_.auto_open) {
-      // An auto-detected window is open: the explicit window wins.  The tap
-      // in api_call usually aborted it already (the begin_trace signature
-      // breaks the repeat); this handles a begin_trace that happens to land
-      // on a matching token.
-      rt_.retire_auto_window(st_, shard_.value,
-                             "explicit begin_trace inside an auto window");
-    }
-    DCR_CHECK(!st_.templates.active()) << "nested traces are not supported";
-    // The window keys its validity on the forest mutation epoch, the runtime
-    // recovery epoch, and the count of consensus deletions this shard has
-    // folded in (insertions shift op ids, breaking relative dep offsets).
-    st_.templates.begin(id, rt_.forest_.mutation_epoch(), rt_.recovery_epoch_,
-                        st_.deletions_processed, rt_.config_.template_validation);
-    st_.windows_opened++;  // iteration tag for dcr-prof spans
-    st_.window_started = rt_.clock_.now();
-  }
-
-  void end_trace(TraceId id) override {
-    SigBuilder sb = sig_end_trace(cap(), id);
-    api_call("end_trace", sb);
-    if (!rt_.config_.tracing_enabled) return;
-    DCR_CHECK(st_.templates.active() && *st_.templates.active() == id)
-        << "mismatched end_trace";
-    close_window_accounting();
-  }
-
-  // Window hit/miss accounting + close, shared by explicit end_trace and
-  // auto-detected windows.
-  void close_window_accounting() { rt_.close_template_window(st_, shard_.value); }
-
-  // ---- automatic trace identification (dcr/trace_id.hpp) ----
-  // Per-call tap, run BEFORE the template manager records the call: on Open
-  // the window must exist so this call becomes its first op, and on
-  // Close/CloseOpen the previous window must not absorb this call.  The tap
-  // issues no API calls of its own, so auto windows are invisible to the §3
-  // determinism checker — window placement only affects per-shard analysis
-  // caching, never the decision stream.
-  void auto_trace_observe() {
-    const DcrConfig& cfg = rt_.config_;
-    if (!cfg.auto_trace.enabled || !cfg.tracing_enabled || st_.auto_stop) return;
-    // Suppress promotions while an explicit (app-keyed) window is active; the
-    // detector keeps tracking so the auto trace resumes after end_trace.
-    const bool explicit_open = st_.templates.active() && !st_.auto_open;
-    const TraceIdentifier::Result r =
-        st_.auto_tracer.observe(st_.last_template_hash, explicit_open);
-    if (explicit_open) return;  // suppressed: no actions can fire
-    switch (r.action) {
-      case TraceIdentifier::Action::None:
-        break;
-      case TraceIdentifier::Action::Open:
-        if (!st_.templates.active()) auto_open_window(r.trace);
-        break;
-      case TraceIdentifier::Action::Close:
-        auto_close_window();
-        break;
-      case TraceIdentifier::Action::CloseOpen:
-        auto_close_window();
-        auto_open_window(r.trace);
-        break;
-      case TraceIdentifier::Action::AbortClose:
-        // The repeat broke mid-period: discard the half-recorded capture so
-        // it can never validate or replay.
-        rt_.retire_auto_window(st_, shard_.value, "auto trace broke mid-period");
-        break;
-    }
-  }
-
-  void auto_open_window(TraceId id) {
-    st_.templates.begin(id, rt_.forest_.mutation_epoch(), rt_.recovery_epoch_,
-                        st_.deletions_processed, rt_.config_.template_validation);
-    st_.windows_opened++;
-    st_.window_started = rt_.clock_.now();
-    st_.auto_open = true;
-  }
-
-  void auto_close_window() {
-    // The window can already be gone (consensus deletion aborts underneath
-    // us, SDC healing invalidates mid-window): skip the accounting then.
-    if (st_.templates.active()) close_window_accounting();
-    st_.auto_open = false;
-  }
-
-  // ---- environment ----
-  std::size_t num_shards() const override { return rt_.num_shards(); }
-  ShardId shard_id() const override { return shard_; }
-  Philox4x32& rng() override { return *st_.rng; }
-  SimTime now() const override { return pctx_.now(); }
 
   sim::ProcessContext& process() { return pctx_; }
   ShardId shard() const { return shard_; }
@@ -413,7 +225,7 @@ class ShardContext final : public Context {
   DcrRuntime& rt_;
   ShardId shard_;
   sim::ProcessContext& pctx_;
-  DcrRuntime::ShardState& st_;
+  DcrRuntime::ShardState& state_;  // ShardFront::st_ as the full simulator record
 };
 
 // ===========================================================================
@@ -538,123 +350,18 @@ bool DcrRuntime::finished() const {
 // backend); these wrappers mirror DcrStats and emit the spy trace records
 // exactly once per op — gated on the analyzer's `fresh` out-param.
 
-void DcrRuntime::emit_coarse_decision(const OpRecord& op, const CoarseDecision& dec) {
-  stats_.coarse_deps += dec.deps;
-  stats_.fences_elided += dec.elided;
-  if (!dec.fence_sources.empty()) stats_.fences_inserted++;
-  if (trace_) {
-    // Ops reach here exactly once, in program order (analyzer-checked).
-    for (const spy::CoarseDepRecord& d : dec.dep_records) trace_->coarse_deps.push_back(d);
-    trace_->ops.push_back({op.id, dec.kind, op.call_index, dec.fence_sources});
-  }
-}
-
 const CoarseDecision& DcrRuntime::coarse_decision(const OpRecord& op) {
   bool fresh = false;
   const CoarseDecision& dec = coarse_.decide(op, forest_, statics_prover_, statics_ledger_,
-                                             single_op_owner(op.id), &fresh);
-  if (fresh) emit_coarse_decision(op, dec);
+                                             single_op_owner(op.id, num_shards()), &fresh);
+  if (fresh) emit_coarse_decision(op, dec, stats_, trace_.get());
   return dec;
-}
-
-// ----------------------------------------------------- dependence templates
-
-std::shared_ptr<const PointPlanList> DcrRuntime::make_point_plan(ShardId s,
-                                                                 const IndexPayload& index) {
-  const IndexLaunch& launch = index.launch;
-  const auto& points =
-      shardings_.owned_points(launch.sharding, launch.domain, num_shards(), s);
-  auto plan = std::make_shared<PointPlanList>();
-  plan->reserve(points.size());
-  for (const rt::Point& p : points) {
-    PointPlan pp;
-    pp.point = p;
-    pp.point_index = rt::linearize(launch.domain, p);
-    pp.reqs.reserve(launch.requirements.size());
-    for (const rt::GroupRequirement& gr : launch.requirements) {
-      pp.reqs.push_back(gr.concretize(forest_, projections_, p, launch.domain));
-    }
-    plan->push_back(std::move(pp));
-  }
-  return plan;
-}
-
-void DcrRuntime::capture_template_op(ShardState& st, const OpRecord& op,
-                                     const CoarseDecision& dec) {
-  TemplateOp rec;
-  rec.payload_kind = op.payload.index();
-  rec.call_hash = op.call_hash;
-  rec.kind = dec.kind;
-  rec.num_reqs = dec.num_reqs;
-  rec.summaries = dec.summaries;
-  rec.deps.reserve(dec.dep_records.size());
-  for (const spy::CoarseDepRecord& d : dec.dep_records) {
-    if (d.prev.value >= op.id.value) {
-      st.templates.abort_window("non-causal coarse dependence during capture");
-      return;
-    }
-    rec.deps.push_back({op.id.value - d.prev.value, d.prev.value, /*absolute=*/false,
-                        d.tree, d.field, d.elided});
-  }
-  rec.fences.reserve(dec.fence_sources.size());
-  for (OpId src : dec.fence_sources) {
-    rec.fences.push_back({op.id.value - src.value, src.value, /*absolute=*/false});
-  }
-  rec.plan = op.plan;
-  st.templates.record_op(std::move(rec));
-}
-
-void DcrRuntime::validate_template_op(ShardState& st, const OpRecord& op,
-                                      const CoarseDecision& dec) {
-  TemplateOp& rec = *op.trec;
-  auto fail = [&](const char* what) {
-    st.templates.validation_failed(std::string("shadow compare mismatch at op ") +
-                                   std::to_string(op.id.value) + ": " + what);
-  };
-  if (!(rec.call_hash == op.call_hash)) return fail("API-call identity");
-  if (rec.kind != dec.kind) return fail("op kind");
-  if (rec.num_reqs != dec.num_reqs) return fail("requirement count");
-  if (rec.summaries != dec.summaries) return fail("requirement summaries");
-  if (rec.deps.size() != dec.dep_records.size()) return fail("coarse dependence count");
-  for (std::size_t i = 0; i < rec.deps.size(); ++i) {
-    const spy::CoarseDepRecord& d = dec.dep_records[i];
-    TemplateDep& rd = rec.deps[i];
-    if (rd.tree != d.tree || rd.field != d.field || rd.elided != d.elided) {
-      return fail("coarse dependences / elision verdicts");
-    }
-    // Resolve which source encoding survived an iteration: per-iteration
-    // sources keep their relative offset; fixed ops (an init fill issued
-    // before the loop) keep their absolute id.
-    if (rd.prev_offset == op.id.value - d.prev.value) {
-      rd.absolute = false;
-    } else if (rd.abs_source == d.prev.value) {
-      rd.absolute = true;
-    } else {
-      return fail("coarse dependence source");
-    }
-  }
-  if (rec.fences.size() != dec.fence_sources.size()) return fail("fence count");
-  for (std::size_t i = 0; i < rec.fences.size(); ++i) {
-    const OpId src = dec.fence_sources[i];
-    TemplateFence& rf = rec.fences[i];
-    if (rf.prev_offset == op.id.value - src.value) {
-      rf.absolute = false;
-    } else if (rf.abs_source == src.value) {
-      rf.absolute = true;
-    } else {
-      return fail("fence sources");
-    }
-  }
-  const PointPlanList empty;
-  const PointPlanList& fresh_plan = op.plan ? *op.plan : empty;
-  const PointPlanList& stored_plan = rec.plan ? *rec.plan : empty;
-  if (!(fresh_plan == stored_plan)) return fail("fine-stage point plan");
 }
 
 const CoarseDecision& DcrRuntime::install_replayed_decision(const OpRecord& op) {
   bool fresh = false;
   const CoarseDecision& dec = coarse_.install_replayed(op, statics_ledger_, &fresh);
-  if (fresh) emit_coarse_decision(op, dec);
+  if (fresh) emit_coarse_decision(op, dec, stats_, trace_.get());
   return dec;
 }
 
@@ -665,8 +372,7 @@ bool DcrRuntime::all_fences_complete() const {
   return true;
 }
 
-DcrRuntime::FutureRecord& DcrRuntime::ensure_future(std::uint64_t id, OpId producer,
-                                                    bool /*broadcast*/) {
+DcrRuntime::FutureRecord& DcrRuntime::ensure_future(std::uint64_t id, OpId producer) {
   auto [it, inserted] = futures_.try_emplace(id);
   FutureRecord& fut = it->second;
   if (!inserted) return fut;
@@ -674,7 +380,7 @@ DcrRuntime::FutureRecord& DcrRuntime::ensure_future(std::uint64_t id, OpId produ
   profiler_.global().add(prof::GlobalCounter::CollectiveRounds);
   // Single-task futures broadcast from the owner shard to all shards (§4.2):
   // the placement is rotated so the owner is the broadcast root.
-  const ShardId owner = single_op_owner(producer);
+  const ShardId owner = single_op_owner(producer, num_shards());
   std::vector<NodeId> rotated(num_shards());
   for (std::size_t r = 0; r < num_shards(); ++r) {
     rotated[r] = placement_[(owner.value + r) % num_shards()];
@@ -741,25 +447,13 @@ void DcrRuntime::issue(ShardContext& ctx, OpPayload payload) {
     commit_op(ctx.shard(), del);
   }
 
-  OpRecord op{OpId(st.next_op++), std::move(payload), false};
-  // The API call that issued this op was hashed just before issue().
-  if (st.api_calls > 0) op.call_index = st.api_calls - 1;
+  OpRecord op = ctx.open_op(std::move(payload));
   stats_.ops_issued = std::max(stats_.ops_issued, st.next_op);
-
-  // Mapper query: "Legion queries mappers to select a sharding function for
-  // each subtask launch" (§4).  Deterministic, so every shard rewrites the
-  // launch identically.
-  if (config_.mapper) {
-    if (auto* index = std::get_if<IndexPayload>(&op.payload)) {
-      index->launch.sharding =
-          config_.mapper->select_sharding(index->launch, num_shards());
-    }
-  }
 
   // Futures are created eagerly at issue so the control program can wait on
   // them before any shard's fine stage has reached the producing op.
   if (const auto* task = std::get_if<TaskPayload>(&op.payload)) {
-    if (task->future_id != ~0ull) ensure_future(task->future_id, op.id, /*broadcast=*/true);
+    if (task->future_id != ~0ull) ensure_future(task->future_id, op.id);
   } else if (const auto* red = std::get_if<ReducePayload>(&op.payload)) {
     ensure_reduce_future(red->future_id, red->op);
   }
@@ -779,51 +473,10 @@ void DcrRuntime::issue(ShardContext& ctx, OpPayload payload) {
   }
 
   // Dependence templates (dcr/template.hpp): capture this op's decisions or
-  // replay the recorded ones, per the window's mode.
-  if (st.templates.active()) {
-    op.call_hash = st.last_template_hash;
-    switch (st.templates.mode()) {
-      case TemplateManager::Mode::Capture:
-        op.tmode = TemplateManager::Mode::Capture;
-        if (const auto* index = std::get_if<IndexPayload>(&op.payload)) {
-          op.plan = make_point_plan(ctx.shard(), *index);
-        }
-        break;
-      case TemplateManager::Mode::Validate: {
-        // Fresh analysis still drives execution; decisions are shadow-compared
-        // against the recording in validate_template_op().
-        TemplateOp* rec = st.templates.next_op();
-        if (rec == nullptr) break;  // window just aborted
-        if (rec->payload_kind != op.payload.index()) {
-          st.templates.abort_window("op payload kind diverged from the recording");
-          break;
-        }
-        op.tmode = TemplateManager::Mode::Validate;
-        op.trec = rec;
-        if (const auto* index = std::get_if<IndexPayload>(&op.payload)) {
-          op.plan = make_point_plan(ctx.shard(), *index);
-        }
-        break;
-      }
-      case TemplateManager::Mode::Replay: {
-        TemplateOp* rec = st.templates.next_op();
-        if (rec == nullptr) break;
-        if (rec->payload_kind != op.payload.index() || !(rec->call_hash == op.call_hash)) {
-          st.templates.abort_window("op identity diverged from the recording");
-          break;
-        }
-        op.tmode = TemplateManager::Mode::Replay;
-        op.trec = rec;
-        op.plan = rec->plan;
-        op.traced = true;  // charge the reduced analysis costs
-        // A replayed (recovery) op re-derives template state without re-counting.
-        if (op.id.value >= st.replay_ops_end) stats_.traced_ops++;
-        break;
-      }
-      case TemplateManager::Mode::Inactive:
-        break;
-    }
-  }
+  // replay the recorded ones, per the window's mode.  A replayed (recovery)
+  // op re-derives template state without re-counting.
+  ctx.plan_template_op(op);
+  if (op.traced && op.id.value >= st.replay_ops_end) stats_.traced_ops++;
 
   commit_op(ctx.shard(), op);
 }
@@ -843,10 +496,7 @@ void DcrRuntime::commit_op(ShardId s, const OpRecord& op) {
     if (op.tmode == TemplateManager::Mode::Capture ||
         op.tmode == TemplateManager::Mode::Validate) {
       if (const CoarseDecision* dec = coarse_.find(op.id)) {
-        if (op.tmode == TemplateManager::Mode::Validate) {
-          validate_template_op(st, op, *dec);
-        }
-        capture_template_op(st, op, *dec);
+        record_template_decision(st.templates, op, *dec);
       } else {
         st.templates.abort_window("committed op has no cached coarse decision");
       }
@@ -868,14 +518,7 @@ void DcrRuntime::process_op(ShardId s, const OpRecord& op) {
   // Replayed ops had their recorded decision installed by commit_op, so this
   // lookup hits the cache and skips the conflict scans entirely.
   const CoarseDecision& dec = coarse_decision(op);
-  if (op.tmode == TemplateManager::Mode::Capture) {
-    capture_template_op(st, op, dec);
-  } else if (op.tmode == TemplateManager::Mode::Validate) {
-    validate_template_op(st, op, dec);
-    // Also feed the shadow re-recording that replaces the stored template if
-    // the compare above mismatched (record_op routes by mode).
-    capture_template_op(st, op, dec);
-  }
+  record_template_decision(st.templates, op, dec);
 
   // Iteration tag for spans: the trace window this op falls into, if any.
   const std::uint64_t prof_iter =
@@ -941,24 +584,7 @@ void DcrRuntime::process_op(ShardId s, const OpRecord& op) {
   }
 
   // ---- fine stage cost (Figure 9 bottom): proportional to owned points ----
-  std::uint64_t owned = 0;
-  if (op.plan) {
-    // Captured or replayed fine-stage mapping: the owned-point set is the
-    // plan itself (no sharding-function enumeration needed on replay).
-    owned = op.plan->size();
-  } else if (const auto* index = std::get_if<IndexPayload>(&op.payload)) {
-    owned = shardings_
-                .owned_points(index->launch.sharding, index->launch.domain, num_shards(), s)
-                .size();
-  } else if (const auto* attach = std::get_if<AttachPayload>(&op.payload);
-             attach && attach->partition.valid()) {
-    const rt::Rect dom = rt::Rect::r1(
-        0, static_cast<std::int64_t>(forest_.num_subregions(attach->partition)) - 1);
-    owned = shardings_.owned_points(ShardingRegistry::blocked(), dom, num_shards(), s).size();
-  } else if (!std::holds_alternative<ReducePayload>(op.payload) &&
-             !std::holds_alternative<FencePayload>(op.payload)) {
-    owned = (single_op_owner(op.id) == s) ? 1 : 0;
-  }
+  const std::uint64_t owned = owned_point_count(op, shardings_, forest_, num_shards(), s);
   // Static skip (src/statics): a launch whose interference the prover fully
   // resolved needs no per-point fine-stage discrimination — the affine forms
   // predetermine every point's outcome — so the per-point charge collapses to
@@ -1020,8 +646,6 @@ void DcrRuntime::execute_points(ShardId s, const OpRecord& op) {
       auto [it, inserted] = future_maps_.try_emplace(index->future_map_id);
       fm = &it->second;
       if (inserted) {
-        fm->op = op.id;
-        fm->domain = launch.domain;
         fm->shard_values_ready.assign(num_shards(), sim::Event::no_event());
         fm->shard_partial_sum.assign(num_shards(), 0.0);
         fm->shard_partial_min.assign(num_shards(),
@@ -1064,7 +688,7 @@ void DcrRuntime::execute_points(ShardId s, const OpRecord& op) {
   }
 
   if (const auto* task = std::get_if<TaskPayload>(&op.payload)) {
-    const ShardId owner = single_op_owner(op.id);
+    const ShardId owner = single_op_owner(op.id, num_shards());
     if (owner == s) {
       rt::Point p;
       p.dim = 1;
@@ -1077,7 +701,7 @@ void DcrRuntime::execute_points(ShardId s, const OpRecord& op) {
   }
 
   if (const auto* fill = std::get_if<FillPayload>(&op.payload)) {
-    if (single_op_owner(op.id) != s) return;
+    if (single_op_owner(op.id, num_shards()) != s) return;
     const rt::Rect rect = forest_.bounds(fill->region);
     const RegionTreeId tree = forest_.tree_of(fill->region);
     const TaskId tid(op.id.value * kPointsPerOp);
@@ -1143,7 +767,7 @@ void DcrRuntime::execute_points(ShardId s, const OpRecord& op) {
       }
       return;
     }
-    if (single_op_owner(op.id) != s) return;
+    if (single_op_owner(op.id, num_shards()) != s) return;
     const rt::Rect rect = forest_.bounds(attach->region);
     const RegionTreeId tree = forest_.tree_of(attach->region);
     std::uint64_t bytes = 0;
@@ -1290,7 +914,7 @@ sim::Event DcrRuntime::launch_point_task(ShardId s, const OpRecord& op, const rt
         /*on_resolved=*/
         [this, s, done, info, future_map_id, future_id, point_index, opid = op.id,
          traced = op.traced](const QuorumOutcome& out) {
-          finish_point_task(s, info, future_map_id, future_id, out.value);
+          finish_point_task(s, future_map_id, future_id, out.value);
           done.trigger(machine_.sim().now());
           if (scope_) {
             scope_->on_quorum({opid.value, point_index, s.value, out.rounds, out.ballots,
@@ -1312,7 +936,7 @@ sim::Event DcrRuntime::launch_point_task(ShardId s, const OpRecord& op, const rt
                  [this, s, done, info = std::move(info), future_map_id, future_id, tid,
                   wants_value] {
                    const double v = wants_value ? task_result(info, tid, 0) : 0.0;
-                   finish_point_task(s, info, future_map_id, future_id, v);
+                   finish_point_task(s, future_map_id, future_id, v);
                    done.trigger(machine_.sim().now());
                  },
                  functions_.at(fn).name);
@@ -1350,28 +974,6 @@ void DcrRuntime::note_control_future(std::uint64_t future_id) {
   }
 }
 
-void DcrRuntime::close_template_window(ShardState& st, std::size_t shard_idx) {
-  prof::Counters& pc = profiler_.shard(shard_idx);
-  pc.add(prof::Counter::WindowsClosed);
-  pc.add(st.templates.mode() == TemplateManager::Mode::Replay
-             ? prof::Counter::TemplateWindowHits
-             : prof::Counter::TemplateWindowMisses);
-  st.templates.end(forest_);
-  profiler_.emit({prof::SpanKind::TraceWindow, prof::Lane::Control, shard_idx,
-                  st.window_started, clock_.now(), prof::kNoId,
-                  st.windows_opened - 1});
-}
-
-void DcrRuntime::retire_auto_window(ShardState& st, std::size_t shard_idx,
-                                    const char* reason) {
-  if (st.templates.active()) {
-    st.templates.abort_window(reason);  // no-op if already aborted underneath
-    close_template_window(st, shard_idx);
-  }
-  st.auto_open = false;
-  st.auto_tracer.interrupt();
-}
-
 void DcrRuntime::on_corruption_healed(OpId op, bool traced, const QuorumOutcome& out) {
   if (config_.sdc_invalidate_templates) {
     // The corrupted value may have been observed by control before the heal
@@ -1389,7 +991,7 @@ void DcrRuntime::on_corruption_healed(OpId op, bool traced, const QuorumOutcome&
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       ShardState& st = *shards_[i];
       if (st.auto_open) {
-        retire_auto_window(st, i,
+        retire_auto_window(st, forest_, profiler_, clock_,
                            "SDC heal invalidated the template epoch mid-window");
       } else if (st.templates.active()) {
         // Explicit window: the abort leaves the slot for its end_trace.
@@ -1430,9 +1032,8 @@ void DcrRuntime::on_corruption_healed(OpId op, bool traced, const QuorumOutcome&
   }
 }
 
-void DcrRuntime::finish_point_task(ShardId s, const PointTaskInfo& /*info*/,
-                                   std::uint64_t future_map_id, std::uint64_t future_id,
-                                   double value) {
+void DcrRuntime::finish_point_task(ShardId s, std::uint64_t future_map_id,
+                                   std::uint64_t future_id, double value) {
   if (future_map_id != ~0ull) {
     FutureMapRecord& fm = future_maps_.at(future_map_id);
     fm.shard_partial_sum[s.value] += value;
@@ -1559,14 +1160,7 @@ bool DcrRuntime::check_deferred_consensus() {
 void DcrRuntime::finalize_shard(ShardContext& ctx) {
   ShardState& st = shard(ctx.shard());
   st.main_returned = true;
-  // The control program is over: an open auto-detected window can never
-  // complete its period, so discard its capture, and gate the detector off so
-  // the finalization fence below cannot open a fresh window.
-  if (st.auto_open) {
-    retire_auto_window(st, ctx.shard().value,
-                       "control program ended inside an auto window");
-  }
-  st.auto_stop = true;
+  ctx.stop_auto_trace();
   // Drain: wait until deferred consensus settles (poller observes all shards
   // done), then process any agreed insertions this shard has not reached.
   while (poller_active_ && !deferred_drained_) {
@@ -1614,30 +1208,8 @@ DcrStats DcrRuntime::execute(const ApplicationMain& main) {
     stats_.analysis_busy += machine_.analysis_proc(NodeId(static_cast<std::uint32_t>(n))).busy_time();
   }
   stats_.compute_busy = machine_.total_compute_busy();
-  for (const auto& st : shards_) {
-    const TemplateManager::Counters& c = st->templates.counters();
-    stats_.templates_captured += c.captured;
-    stats_.templates_validated += c.validated;
-    stats_.template_replays += c.window_replays;
-    stats_.template_invalidations += c.invalidated;
-    stats_.template_validation_failures += c.validation_failures;
-  }
-  for (const auto& st : shards_) {
-    const TraceIdentifier::Counters& a = st->auto_tracer.counters();
-    stats_.auto_trace_detections += a.detections;
-    stats_.auto_trace_promotions += a.promotions;
-    stats_.auto_trace_demotions += a.demotions;
-    stats_.auto_trace_windows += a.windows;
-    stats_.auto_trace_aborts += a.aborts;
-    stats_.auto_trace_collisions += a.collisions;
-    prof::Counters& pc = profiler_.shard(st->id.value);
-    pc.add(prof::Counter::AutoTraceDetections, a.detections);
-    pc.add(prof::Counter::AutoTracePromotions, a.promotions);
-    pc.add(prof::Counter::AutoTraceDemotions, a.demotions);
-    pc.add(prof::Counter::AutoTraceWindows, a.windows);
-    pc.add(prof::Counter::AutoTraceAborts, a.aborts);
-    pc.add(prof::Counter::AutoTraceCollisions, a.collisions);
-  }
+  for (const auto& st : shards_) fold_shard_counters(*st, profiler_, stats_);
+  fold_run_counters(statics_prover_.stats().cache_hits, profiler_, stats_);
 
   stats_.aborted = aborted_;
   stats_.abort_message = abort_message_;
@@ -1685,30 +1257,12 @@ DcrStats DcrRuntime::execute(const ApplicationMain& main) {
     stats_.sdc_stale_votes = rs.stale_votes;
   }
 
-  // Static interference analysis: mirror the prover's verdict ledger.  The
-  // resolved/unresolved split was charged online in coarse_decision; cache
-  // hits come from the prover itself.
-  {
-    const statics::InterferenceProver::Stats& ps = statics_prover_.stats();
-    stats_.statics_cache_hits = ps.cache_hits;
-    profiler_.global().add(prof::GlobalCounter::StaticProofCacheHits, ps.cache_hits);
-    stats_.statics_resolved_ops =
-        profiler_.global().get(prof::GlobalCounter::StaticLaunchesResolved);
-    stats_.statics_unresolved_ops =
-        profiler_.global().get(prof::GlobalCounter::StaticLaunchesUnresolved);
-    for (std::size_t sh = 0; sh < num_shards(); ++sh) {
-      stats_.statics_skipped_points +=
-          profiler_.shard(static_cast<std::uint32_t>(sh)).get(prof::Counter::StaticSkipPoints);
-    }
-  }
-
-  // Mirror the end-of-run totals into the profiler's global counter bank so a
-  // snapshot (tools/dcr-prof, golden traces) is self-contained: template
-  // health, transport retries, and fault/recovery history all live beside the
-  // fence/elision ledger that was maintained online.
+  // Mirror the remaining end-of-run totals into the profiler's global counter
+  // bank so a snapshot (tools/dcr-prof, golden traces) is self-contained:
+  // transport retries and fault/recovery history live beside the fence/
+  // elision ledger that was maintained online (template health and statics
+  // were folded above).
   prof::Counters& g = profiler_.global();
-  g.add(prof::GlobalCounter::TemplateShadowMismatches, stats_.template_validation_failures);
-  g.add(prof::GlobalCounter::TemplateInvalidations, stats_.template_invalidations);
   g.add(prof::GlobalCounter::Retransmits, stats_.retransmits);
   g.add(prof::GlobalCounter::MessagesDropped, stats_.messages_dropped);
   g.add(prof::GlobalCounter::FailuresDetected, stats_.failures_detected);

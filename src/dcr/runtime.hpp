@@ -41,6 +41,7 @@
 #include "dcr/mapper.hpp"
 #include "dcr/recovery.hpp"
 #include "dcr/replicate.hpp"
+#include "dcr/shard_front.hpp"
 #include "dcr/sharding.hpp"
 #include "dcr/template.hpp"
 #include "dcr/trace_id.hpp"
@@ -331,35 +332,19 @@ class DcrRuntime {
   friend class ShardContext;
 
   // The op model (OpRecord, payloads, CoarseDecision) lives in dcr/ops.hpp,
-  // and the coarse dependence stage in dcr/coarse.hpp — both shared with the
-  // real-threads backend (src/exec/).
+  // the coarse dependence stage in dcr/coarse.hpp, and the control-plane
+  // front end (hash-and-issue API calls, trace windows, template plumbing)
+  // in dcr/shard_front.hpp — all shared with the real-threads backend
+  // (src/exec/).
 
   // ------------------------------------------------------------ shard state
-  struct ShardState {
-    ShardId id;
+  // Per-shard control-plane state (cursors, RNG, templates, trace windows)
+  // lives in FrontState (dcr/shard_front.hpp), shared with the threads
+  // backend; the rest is the simulator's own.
+  struct ShardState : FrontState {
     NodeId node;
     std::uint64_t next_creation = 0;   // replicated-heap cursor
-    std::uint64_t next_future = 0;     // future / future-map id cursors
-    std::uint64_t next_future_map = 0;
-    std::uint64_t next_op = 0;         // program-order op counter
-    std::uint64_t api_calls = 0;       // determinism-check call index
     sim::Event fine_tail;              // previous fine analysis on this shard
-    std::unique_ptr<Philox4x32> rng;
-    // Per-shard dependence templates (dcr/template.hpp): capture, validate,
-    // and replay of trace windows' analysis decisions.
-    TemplateManager templates;
-    Hash128 last_template_hash;  // template-identity hash of the latest call
-    // Automatic trace identification (dcr/trace_id.hpp): the per-shard
-    // repeated-trace detector, whether the currently open template window was
-    // opened by it (vs an explicit begin_trace), and the end-of-program gate
-    // that stops it from opening windows during finalization.
-    TraceIdentifier auto_tracer;
-    bool auto_open = false;
-    bool auto_stop = false;
-    // dcr-prof: trace windows opened by this shard (the span iteration tag)
-    // and the virtual start time of the one currently open.
-    std::uint64_t windows_opened = 0;
-    SimTime window_started = 0;
     // Deferred deletions this shard has requested (in request order).
     std::vector<RegionTreeId> deferred_requests;
     std::uint64_t deletions_processed = 0;
@@ -387,8 +372,6 @@ class DcrRuntime {
     std::vector<sim::UserEvent> per_shard_event;
   };
   struct FutureMapRecord {
-    OpId op;
-    rt::Rect domain;
     // Per-shard partial values become available when the shard's owned point
     // tasks complete (shard_values_ready[s]).
     std::vector<sim::Event> shard_values_ready;
@@ -409,28 +392,15 @@ class DcrRuntime {
   sim::Processor& analysis_proc(ShardId s) {
     return machine_.analysis_proc(placement_[s.value]);
   }
-  ShardId single_op_owner(OpId op) const {
-    return ShardId(static_cast<std::uint32_t>(op.value % placement_.size()));
-  }
 
   // Coarse-stage front door: runs coarse_.decide() / coarse_.install_replayed()
   // and, when this call computed the decision, mirrors DcrStats and emits the
-  // spy trace records (dependences then the op record) exactly once.
+  // spy trace records (emit_coarse_decision, dcr/shard_front.hpp) exactly once.
   const CoarseDecision& coarse_decision(const OpRecord& op);
   const CoarseDecision& install_replayed_decision(const OpRecord& op);
-  void emit_coarse_decision(const OpRecord& op, const CoarseDecision& dec);
 
-  // ---- dependence templates (dcr/template.hpp) ----
-  // Capture: turn a computed decision (+ the op's fine-stage plan) into a
-  // TemplateOp on this shard's recording.
-  void capture_template_op(ShardState& st, const OpRecord& op, const CoarseDecision& dec);
-  // Validate: shadow-compare a fresh decision/plan against the recording.
-  void validate_template_op(ShardState& st, const OpRecord& op, const CoarseDecision& dec);
-  // Fine-stage mapping for this shard's owned points of an index launch
-  // (what a replay skips recomputing).
-  std::shared_ptr<const PointPlanList> make_point_plan(ShardId s, const IndexPayload& index);
   FenceRecord& fence_for(OpId dependent);
-  FutureRecord& ensure_future(std::uint64_t id, OpId producer, bool broadcast);
+  FutureRecord& ensure_future(std::uint64_t id, OpId producer);
   FutureRecord& ensure_reduce_future(std::uint64_t id, ReduceOp rop);
 
   // Issue path: called from the shard's control process.
@@ -443,8 +413,8 @@ class DcrRuntime {
                                const std::vector<std::int64_t>& args, FunctionId fn,
                                std::uint64_t future_map_id,
                                std::uint64_t future_id = ~0ull);
-  void finish_point_task(ShardId s, const PointTaskInfo& info, std::uint64_t future_map_id,
-                         std::uint64_t future_id, double value);
+  void finish_point_task(ShardId s, std::uint64_t future_map_id, std::uint64_t future_id,
+                         double value);
   sim::Processor& compute_proc_for(ShardId s, std::uint64_t point_index);
 
   // ---- SDC replication (dcr/replicate.hpp) ----
@@ -470,18 +440,6 @@ class DcrRuntime {
   void spy_record_task(ShardId s, TaskId tid, OpId op, std::uint64_t point_index,
                        std::vector<spy::AccessRecord> accesses);
   void finalize_shard(class ShardContext& ctx);
-
-  // Template window close + hit/miss accounting, shared by explicit end_trace
-  // and auto-detected windows.  Reads the mode before end() clears it: a
-  // window still in Replay at close was served by a validated template;
-  // anything else (capture, validation, mid-window abort) ran fresh analysis.
-  // hits + misses == windows_closed by construction.
-  void close_template_window(ShardState& st, std::size_t shard_idx);
-  // Abort AND retire an auto-detected window.  An explicit window's abort
-  // deliberately leaves the active slot occupied for its matching end_trace;
-  // an auto window has no end_trace, so the close accounting must run here or
-  // the stale slot blocks every later begin (explicit or auto).
-  void retire_auto_window(ShardState& st, std::size_t shard_idx, const char* reason);
 
   void start_deferred_poller();
   bool check_deferred_consensus();
@@ -566,7 +524,6 @@ class DcrRuntime {
   std::unique_ptr<dcr::scope::Recorder> scope_;
   std::unique_ptr<dcr::scope::FlightRecorder> flight_;
   bool flight_dumped_ = false;  // first abort wins; never dump twice
-  std::uint64_t next_task_id_ = 0;
 
   // ---- SDC replication (dcr/replicate.hpp) ----
   TaintTracker taint_;

@@ -20,104 +20,90 @@ using core::IndexPayload;
 using core::OpPayload;
 using core::OpRecord;
 using core::PointPlan;
-using core::PointPlanList;
 using core::ReducePayload;
 using core::SigBuilder;
 using core::TaskPayload;
-using core::TemplateDep;
-using core::TemplateFence;
 using core::TemplateManager;
-using core::TemplateOp;
 
 // ===========================================================================
-// ThreadShardContext: the per-thread implementation of the application API.
-// Mirrors the simulator's ShardContext (dcr/runtime.cpp) call for call —
-// same sig_* hashing, same issue points, same prof accounting — minus the
-// simulator-only machinery (virtual-time charging, replay fast-forwarding,
-// control taint, dcr-scope).
+// ThreadShardContext: the threads backend's half of the per-shard
+// application API.  The hash-and-issue calls, trace windows and template
+// plumbing are core::ShardFront (dcr/shard_front.hpp), shared with the
+// simulator; this class adds creations on the shard's own forest replica,
+// futures over the mailbox fabric, and execution fences.
 // ===========================================================================
-class ThreadShardContext final : public core::Context {
+class ThreadShardContext final : public core::ShardFront {
  public:
   ThreadShardContext(ThreadRuntime& rt, ThreadRuntime::ThreadShard& st)
-      : rt_(rt), st_(st) {}
+      : ShardFront(st, {st.forest, st.shardings, rt.projections_, rt.profiler_, rt.clock_,
+                        rt.trace_.get(), rt.config_.mapper, rt.num_shards(),
+                        rt.config_.tracing_enabled, rt.config_.template_validation,
+                        rt.config_.auto_trace.enabled}),
+        rt_(rt),
+        state_(st) {}
 
-  // Each API call hashes its identity and arguments (paper §3).  Instead of
-  // the simulator's per-call collective check, each thread folds its hash
-  // stream into a running 128-bit digest compared across shards at join —
-  // same detection guarantee, no cross-thread traffic on the hot path.
-  void api_call(const char* name, SigBuilder& sig) {
-    const Hash128 h = sig.finish();
-    st_.last_template_hash = sig.tfinish();
+  // Instead of the simulator's per-call collective check, each thread folds
+  // its §3 hash stream into a running 128-bit digest compared across shards
+  // at join — same detection guarantee, no cross-thread traffic on the hot
+  // path.
+  void on_api_call(const char* name, const Hash128& h, SigBuilder& sig) override {
     if (rt_.checks_enabled()) {
       rt_.determinism_checks_.fetch_add(1, std::memory_order_relaxed);
       Hasher128 fold;
-      fold.value(st_.call_fold.lo).value(st_.call_fold.hi).value(h.lo).value(h.hi);
-      st_.call_fold = fold.finish();
+      fold.value(state_.call_fold.lo).value(state_.call_fold.hi).value(h.lo).value(h.hi);
+      state_.call_fold = fold.finish();
     }
-    if (rt_.trace_) {
-      rt_.trace_->calls[st_.id.value].push_back({st_.api_calls, name, h, sig.take_args()});
-    }
-    st_.api_calls++;
-    auto_trace_observe();
-    if (rt_.config_.tracing_enabled) st_.templates.on_call(st_.last_template_hash);
+    spy_call(name, h, sig);
+    advance_call();
   }
 
-  // Whether sig_* encoders should capture named arguments for the spy trace.
-  bool cap() const { return rt_.trace_ != nullptr; }
+  void issue(OpPayload payload) override { rt_.issue(*this, std::move(payload)); }
 
   // ---- data model: every shard replays creations on its own forest replica;
   //      the handles agree across shards by control determinism ----
   FieldSpaceId create_field_space() override {
     SigBuilder sb = core::sig_create_field_space(cap());
     api_call("create_field_space", sb);
-    return st_.forest.create_field_space();
+    return state_.forest.create_field_space();
   }
 
   FieldId allocate_field(FieldSpaceId fs, std::size_t bytes, std::string name) override {
     SigBuilder sb = core::sig_allocate_field(cap(), fs, bytes, name);
     api_call("allocate_field", sb);
-    return st_.forest.allocate_field(fs, bytes, std::move(name));
+    return state_.forest.allocate_field(fs, bytes, std::move(name));
   }
 
   RegionTreeId create_region(const rt::Rect& bounds, FieldSpaceId fs) override {
     SigBuilder sb = core::sig_create_region(cap(), bounds, fs);
     api_call("create_region", sb);
-    return st_.forest.create_tree(bounds, fs);
+    return state_.forest.create_tree(bounds, fs);
   }
-
-  IndexSpaceId root(RegionTreeId tree) override { return st_.forest.root(tree); }
 
   PartitionId partition_equal(IndexSpaceId parent, std::size_t pieces, int axis) override {
     SigBuilder sb = core::sig_partition_equal(cap(), parent, pieces, axis);
     api_call("partition_equal", sb);
-    return st_.forest.partition_equal(parent, pieces, axis);
+    return state_.forest.partition_equal(parent, pieces, axis);
   }
 
   PartitionId partition_with_halo(IndexSpaceId parent, std::size_t pieces,
                                   std::int64_t halo, int axis) override {
     SigBuilder sb = core::sig_partition_with_halo(cap(), parent, pieces, halo, axis);
     api_call("partition_with_halo", sb);
-    return st_.forest.partition_with_halo(parent, pieces, halo, axis);
+    return state_.forest.partition_with_halo(parent, pieces, halo, axis);
   }
 
   PartitionId create_partition(IndexSpaceId parent, std::vector<rt::Rect> pieces,
                                bool disjoint) override {
     SigBuilder sb = core::sig_create_partition(cap(), parent, pieces, disjoint);
     api_call("create_partition", sb);
-    return st_.forest.create_partition(parent, std::move(pieces), disjoint);
+    return state_.forest.create_partition(parent, std::move(pieces), disjoint);
   }
 
   PartitionId partition_grid(IndexSpaceId parent, std::size_t tiles_x, std::size_t tiles_y,
                              std::int64_t halo) override {
     SigBuilder sb = core::sig_partition_grid(cap(), parent, tiles_x, tiles_y, halo);
     api_call("partition_grid", sb);
-    return st_.forest.partition_grid(parent, tiles_x, tiles_y, halo);
-  }
-
-  void destroy_region(RegionTreeId tree) override {
-    SigBuilder sb = core::sig_destroy_region(cap(), tree);
-    api_call("destroy_region", sb);
-    rt_.issue(st_, DeletePayload{tree});
+    return state_.forest.partition_grid(parent, tiles_x, tiles_y, halo);
   }
 
   void destroy_region_deferred(RegionTreeId tree) override {
@@ -126,51 +112,7 @@ class ThreadShardContext final : public core::Context {
                         "(no deferred-deletion consensus poller); use destroy_region";
   }
 
-  const rt::RegionForest& forest() const override { return st_.forest; }
-
-  // ---- operations ----
-  void fill(IndexSpaceId region, std::vector<FieldId> fields) override {
-    SigBuilder sb = core::sig_fill(cap(), region, fields);
-    api_call("fill", sb);
-    rt_.issue(st_, FillPayload{region, std::move(fields)});
-  }
-
-  core::Future launch(const core::TaskLaunch& launch) override {
-    SigBuilder sb = core::sig_launch(cap(), launch);
-    api_call("launch", sb);
-    TaskPayload p{launch, ~0ull};
-    core::Future f;
-    if (launch.wants_future) {
-      f.id = st_.next_future++;
-      p.future_id = f.id;
-    }
-    rt_.issue(st_, std::move(p));
-    return f;
-  }
-
-  core::FutureMap index_launch(const core::IndexLaunch& launch) override {
-    SigBuilder sb = core::sig_index_launch(cap(), launch);
-    api_call("index_launch", sb);
-    IndexPayload p{launch, ~0ull};
-    core::FutureMap fm;
-    if (launch.wants_futures) {
-      fm.id = st_.next_future_map++;
-      p.future_map_id = fm.id;
-    }
-    rt_.issue(st_, std::move(p));
-    return fm;
-  }
-
-  core::Future reduce_future_map(const core::FutureMap& fm, core::ReduceOp op) override {
-    SigBuilder sb = core::sig_reduce_future_map(cap(), fm, op);
-    api_call("reduce_future_map", sb);
-    DCR_CHECK(fm.valid()) << "reducing an invalid future map";
-    core::Future f;
-    f.id = st_.next_future++;
-    rt_.issue(st_, ReducePayload{fm.id, op, f.id});
-    return f;
-  }
-
+  // ---- futures and fences ----
   double get_future(const core::Future& f) override {
     SigBuilder sb = core::sig_get_future(cap(), f);
     api_call("get_future", sb);
@@ -190,19 +132,19 @@ class ThreadShardContext final : public core::Context {
       // Merged context of the fan-in: the globally last contributor.
       if (rt_.scope_) releaser = entry.coll->result_ctx();
     } else {
-      const ThreadRuntime::CachedFuture cf = rt_.wait_broadcast(st_, f.id);
+      const ThreadRuntime::CachedFuture cf = rt_.wait_broadcast(state_, f.id);
       v = cf.value;
       releaser = cf.ctx;
     }
     const SimTime now = rt_.clock_.now();
-    prof::Counters& pc = rt_.profiler_.shard(st_.id.value);
+    prof::Counters& pc = rt_.profiler_.shard(state_.id.value);
     pc.add(prof::Counter::FutureWaits);
     pc.add(prof::Counter::FutureWaitNs, now - wait_start);
     pc.observe(prof::Hist::FutureWaitNs, now - wait_start);
     rt_.profiler_.emit(
-        {prof::SpanKind::FutureWait, prof::Lane::Control, st_.id.value, wait_start, now});
+        {prof::SpanKind::FutureWait, prof::Lane::Control, state_.id.value, wait_start, now});
     if (rt_.scope_) {
-      rt_.scope_->on_future_wait(st_.id.value, f.id, wait_start, now, releaser);
+      rt_.scope_->on_future_wait(state_.id.value, f.id, wait_start, now, releaser);
     }
     return v;
   }
@@ -221,8 +163,8 @@ class ThreadShardContext final : public core::Context {
       entry = it->second;
     }
     if (entry.reduce) return entry.coll->ready();
-    rt_.drain_inbox(st_);
-    return st_.future_cache.count(f.id) != 0;
+    rt_.drain_inbox(state_);
+    return state_.future_cache.count(f.id) != 0;
   }
 
   void execution_fence() override {
@@ -232,141 +174,15 @@ class ThreadShardContext final : public core::Context {
     // previous op), and processing is inline, so once issue() returns every
     // shard has finished executing every prior op's owned points.
     const SimTime wait_start = rt_.clock_.now();
-    rt_.issue(st_, FencePayload{});
-    rt_.profiler_.shard(st_.id.value).add(prof::Counter::ExecutionFences);
-    rt_.profiler_.emit({prof::SpanKind::ExecutionFence, prof::Lane::Control, st_.id.value,
-                        wait_start, rt_.clock_.now()});
+    issue(FencePayload{});
+    rt_.profiler_.shard(state_.id.value).add(prof::Counter::ExecutionFences);
+    rt_.profiler_.emit({prof::SpanKind::ExecutionFence, prof::Lane::Control,
+                        state_.id.value, wait_start, rt_.clock_.now()});
   }
-
-  void attach_file(IndexSpaceId region, std::vector<FieldId> fields,
-                   std::string file) override {
-    SigBuilder sb = core::sig_attach_file(cap(), region, fields, file);
-    api_call("attach_file", sb);
-    AttachPayload p;
-    p.region = region;
-    p.fields = std::move(fields);
-    p.file = std::move(file);
-    rt_.issue(st_, std::move(p));
-  }
-
-  void detach_file(IndexSpaceId region, std::vector<FieldId> fields) override {
-    SigBuilder sb = core::sig_detach_file(cap(), region, fields);
-    api_call("detach_file", sb);
-    AttachPayload p;
-    p.region = region;
-    p.fields = std::move(fields);
-    p.detach = true;
-    rt_.issue(st_, std::move(p));
-  }
-
-  void attach_file_group(PartitionId partition, std::vector<FieldId> fields,
-                         std::string file_basename) override {
-    SigBuilder sb = core::sig_attach_file_group(cap(), partition, fields, file_basename);
-    api_call("attach_file_group", sb);
-    AttachPayload p;
-    p.partition = partition;
-    p.fields = std::move(fields);
-    p.file = std::move(file_basename);
-    rt_.issue(st_, std::move(p));
-  }
-
-  void detach_file_group(PartitionId partition, std::vector<FieldId> fields) override {
-    SigBuilder sb = core::sig_detach_file_group(cap(), partition, fields);
-    api_call("detach_file_group", sb);
-    AttachPayload p;
-    p.partition = partition;
-    p.fields = std::move(fields);
-    p.detach = true;
-    rt_.issue(st_, std::move(p));
-  }
-
-  // ---- tracing (dependence templates, dcr/template.hpp) ----
-  void begin_trace(TraceId id) override {
-    SigBuilder sb = core::sig_begin_trace(cap(), id);
-    api_call("begin_trace", sb);
-    if (!rt_.config_.tracing_enabled) return;
-    if (st_.auto_open) {
-      // An auto-detected window is open: the explicit window wins (the tap in
-      // api_call usually aborted it already when the begin_trace signature
-      // broke the repeat).
-      rt_.retire_auto_window(st_, "explicit begin_trace inside an auto window");
-    }
-    DCR_CHECK(!st_.templates.active()) << "nested traces are not supported";
-    // No recovery or deferred-deletion epochs on this backend; the forest
-    // mutation epoch is the only validity key that can move.
-    st_.templates.begin(id, st_.forest.mutation_epoch(), /*recovery_epoch=*/0,
-                        /*deletion_epoch=*/0, rt_.config_.template_validation);
-    st_.windows_opened++;
-    st_.window_started = rt_.clock_.now();
-  }
-
-  void end_trace(TraceId id) override {
-    SigBuilder sb = core::sig_end_trace(cap(), id);
-    api_call("end_trace", sb);
-    if (!rt_.config_.tracing_enabled) return;
-    DCR_CHECK(st_.templates.active() && *st_.templates.active() == id)
-        << "mismatched end_trace";
-    close_window_accounting();
-  }
-
-  // Window close + hit/miss accounting shared by explicit end_trace and
-  // auto-detected windows (mirrors the simulator backend).
-  void close_window_accounting() { rt_.close_template_window(st_); }
-
-  // ---- automatic trace identification (dcr/trace_id.hpp) ----
-  // Same tap as the simulator backend's ShardContext::auto_trace_observe:
-  // runs before templates.on_call so Open windows receive the current call as
-  // their first op.  The detector is a pure function of the call-hash stream,
-  // which is identical across backends, so both promote the same traces at
-  // the same call indices.
-  void auto_trace_observe() {
-    const ThreadConfig& cfg = rt_.config_;
-    if (!cfg.auto_trace.enabled || !cfg.tracing_enabled || st_.auto_stop) return;
-    const bool explicit_open = st_.templates.active() && !st_.auto_open;
-    const core::TraceIdentifier::Result r =
-        st_.auto_tracer.observe(st_.last_template_hash, explicit_open);
-    if (explicit_open) return;  // suppressed: no actions can fire
-    switch (r.action) {
-      case core::TraceIdentifier::Action::None:
-        break;
-      case core::TraceIdentifier::Action::Open:
-        if (!st_.templates.active()) auto_open_window(r.trace);
-        break;
-      case core::TraceIdentifier::Action::Close:
-        auto_close_window();
-        break;
-      case core::TraceIdentifier::Action::CloseOpen:
-        auto_close_window();
-        auto_open_window(r.trace);
-        break;
-      case core::TraceIdentifier::Action::AbortClose:
-        rt_.retire_auto_window(st_, "auto trace broke mid-period");
-        break;
-    }
-  }
-
-  void auto_open_window(TraceId id) {
-    st_.templates.begin(id, st_.forest.mutation_epoch(), /*recovery_epoch=*/0,
-                        /*deletion_epoch=*/0, rt_.config_.template_validation);
-    st_.windows_opened++;
-    st_.window_started = rt_.clock_.now();
-    st_.auto_open = true;
-  }
-
-  void auto_close_window() {
-    if (st_.templates.active()) close_window_accounting();
-    st_.auto_open = false;
-  }
-
-  // ---- environment ----
-  std::size_t num_shards() const override { return rt_.num_shards(); }
-  ShardId shard_id() const override { return st_.id; }
-  Philox4x32& rng() override { return *st_.rng; }
-  SimTime now() const override { return rt_.clock_.now(); }
 
  private:
   ThreadRuntime& rt_;
-  ThreadRuntime::ThreadShard& st_;
+  ThreadRuntime::ThreadShard& state_;  // ShardFront::st_ as the full thread record
 };
 
 // ===========================================================================
@@ -458,18 +274,6 @@ const core::TraceIdentifier& ThreadRuntime::shard_auto_tracer(ShardId s) {
 
 // ----------------------------------------------------------- coarse stage
 
-void ThreadRuntime::emit_coarse_decision_locked(const OpRecord& op,
-                                                const CoarseDecision& dec) {
-  coarse_deps_ += dec.deps;
-  fences_elided_ += dec.elided;
-  if (!dec.fence_sources.empty()) fences_inserted_++;
-  if (trace_) {
-    // Ops reach here exactly once, in program order (analyzer-checked).
-    for (const spy::CoarseDepRecord& d : dec.dep_records) trace_->coarse_deps.push_back(d);
-    trace_->ops.push_back({op.id, dec.kind, op.call_index, dec.fence_sources});
-  }
-}
-
 CoarseDecision ThreadRuntime::coarse_decision(ThreadShard& st, const OpRecord& op) {
   std::lock_guard<std::mutex> lk(analysis_mu_);
   bool fresh = false;
@@ -478,8 +282,9 @@ CoarseDecision ThreadRuntime::coarse_decision(ThreadShard& st, const OpRecord& o
   // reaches this op, so whichever shard computes the decision sees identical
   // region state (control determinism).  Later shards hit the cache.
   const CoarseDecision& dec = coarse_.decide(op, st.forest, *st.prover, statics_ledger_,
-                                             single_op_owner(op.id), &fresh);
-  if (fresh) emit_coarse_decision_locked(op, dec);
+                                             core::single_op_owner(op.id, num_shards()),
+                                             &fresh);
+  if (fresh) core::emit_coarse_decision(op, dec, coarse_stats_, trace_.get());
   return dec;  // copy: the cache must not be read outside the lock
 }
 
@@ -487,101 +292,8 @@ CoarseDecision ThreadRuntime::install_replayed_decision(const OpRecord& op) {
   std::lock_guard<std::mutex> lk(analysis_mu_);
   bool fresh = false;
   const CoarseDecision& dec = coarse_.install_replayed(op, statics_ledger_, &fresh);
-  if (fresh) emit_coarse_decision_locked(op, dec);
+  if (fresh) core::emit_coarse_decision(op, dec, coarse_stats_, trace_.get());
   return dec;
-}
-
-// ----------------------------------------------------- dependence templates
-// Same logic as DcrRuntime's capture/validate, operating on this shard's
-// template store (dcr/runtime.cpp is the reference).
-
-std::shared_ptr<const PointPlanList> ThreadRuntime::make_point_plan(
-    ThreadShard& st, const IndexPayload& index) {
-  const core::IndexLaunch& launch = index.launch;
-  const auto& points =
-      st.shardings.owned_points(launch.sharding, launch.domain, num_shards(), st.id);
-  auto plan = std::make_shared<PointPlanList>();
-  plan->reserve(points.size());
-  for (const rt::Point& p : points) {
-    PointPlan pp;
-    pp.point = p;
-    pp.point_index = rt::linearize(launch.domain, p);
-    pp.reqs.reserve(launch.requirements.size());
-    for (const rt::GroupRequirement& gr : launch.requirements) {
-      pp.reqs.push_back(gr.concretize(st.forest, projections_, p, launch.domain));
-    }
-    plan->push_back(std::move(pp));
-  }
-  return plan;
-}
-
-void ThreadRuntime::capture_template_op(ThreadShard& st, const OpRecord& op,
-                                        const CoarseDecision& dec) {
-  TemplateOp rec;
-  rec.payload_kind = op.payload.index();
-  rec.call_hash = op.call_hash;
-  rec.kind = dec.kind;
-  rec.num_reqs = dec.num_reqs;
-  rec.summaries = dec.summaries;
-  rec.deps.reserve(dec.dep_records.size());
-  for (const spy::CoarseDepRecord& d : dec.dep_records) {
-    if (d.prev.value >= op.id.value) {
-      st.templates.abort_window("non-causal coarse dependence during capture");
-      return;
-    }
-    rec.deps.push_back({op.id.value - d.prev.value, d.prev.value, /*absolute=*/false,
-                        d.tree, d.field, d.elided});
-  }
-  rec.fences.reserve(dec.fence_sources.size());
-  for (OpId src : dec.fence_sources) {
-    rec.fences.push_back({op.id.value - src.value, src.value, /*absolute=*/false});
-  }
-  rec.plan = op.plan;
-  st.templates.record_op(std::move(rec));
-}
-
-void ThreadRuntime::validate_template_op(ThreadShard& st, const OpRecord& op,
-                                         const CoarseDecision& dec) {
-  TemplateOp& rec = *op.trec;
-  auto fail = [&](const char* what) {
-    st.templates.validation_failed(std::string("shadow compare mismatch at op ") +
-                                   std::to_string(op.id.value) + ": " + what);
-  };
-  if (!(rec.call_hash == op.call_hash)) return fail("API-call identity");
-  if (rec.kind != dec.kind) return fail("op kind");
-  if (rec.num_reqs != dec.num_reqs) return fail("requirement count");
-  if (rec.summaries != dec.summaries) return fail("requirement summaries");
-  if (rec.deps.size() != dec.dep_records.size()) return fail("coarse dependence count");
-  for (std::size_t i = 0; i < rec.deps.size(); ++i) {
-    const spy::CoarseDepRecord& d = dec.dep_records[i];
-    TemplateDep& rd = rec.deps[i];
-    if (rd.tree != d.tree || rd.field != d.field || rd.elided != d.elided) {
-      return fail("coarse dependences / elision verdicts");
-    }
-    if (rd.prev_offset == op.id.value - d.prev.value) {
-      rd.absolute = false;
-    } else if (rd.abs_source == d.prev.value) {
-      rd.absolute = true;
-    } else {
-      return fail("coarse dependence source");
-    }
-  }
-  if (rec.fences.size() != dec.fence_sources.size()) return fail("fence count");
-  for (std::size_t i = 0; i < rec.fences.size(); ++i) {
-    const OpId src = dec.fence_sources[i];
-    TemplateFence& rf = rec.fences[i];
-    if (rf.prev_offset == op.id.value - src.value) {
-      rf.absolute = false;
-    } else if (rf.abs_source == src.value) {
-      rf.absolute = true;
-    } else {
-      return fail("fence sources");
-    }
-  }
-  const PointPlanList empty;
-  const PointPlanList& fresh_plan = op.plan ? *op.plan : empty;
-  const PointPlanList& stored_plan = rec.plan ? *rec.plan : empty;
-  if (!(fresh_plan == stored_plan)) return fail("fine-stage point plan");
 }
 
 // ------------------------------------------------------------- collectives
@@ -609,7 +321,7 @@ void ThreadRuntime::ensure_future(std::uint64_t id, OpId producer) {
   // Single-task futures broadcast from the owner shard (§4.2); delivery is
   // the SPSC mailbox fabric, so no collective object is needed.
   it->second.reduce = false;
-  it->second.owner = single_op_owner(producer);
+  it->second.owner = core::single_op_owner(producer, num_shards());
 }
 
 void ThreadRuntime::ensure_reduce_future(std::uint64_t id, core::ReduceOp rop) {
@@ -689,17 +401,9 @@ ThreadRuntime::CachedFuture ThreadRuntime::wait_broadcast(ThreadShard& st,
 
 // ----------------------------------------------------------------- issuing
 
-void ThreadRuntime::issue(ThreadShard& st, OpPayload payload) {
-  OpRecord op{OpId(st.next_op++), std::move(payload), false};
-  // The API call that issued this op was hashed just before issue().
-  if (st.api_calls > 0) op.call_index = st.api_calls - 1;
-
-  // Mapper query (§4): deterministic, so every shard rewrites identically.
-  if (config_.mapper) {
-    if (auto* index = std::get_if<IndexPayload>(&op.payload)) {
-      index->launch.sharding = config_.mapper->select_sharding(index->launch, num_shards());
-    }
-  }
+void ThreadRuntime::issue(ThreadShardContext& ctx, OpPayload payload) {
+  ThreadShard& st = shard(ctx.shard_id());
+  OpRecord op = ctx.open_op(std::move(payload));
 
   // Futures are created eagerly at issue so the control program can wait on
   // them before any shard's execution has reached the producing op.
@@ -710,48 +414,9 @@ void ThreadRuntime::issue(ThreadShard& st, OpPayload payload) {
   }
 
   // Dependence templates: capture this op's decisions or replay the recorded
-  // ones, per the window's mode (same dispatch as the simulator backend).
-  if (st.templates.active()) {
-    op.call_hash = st.last_template_hash;
-    switch (st.templates.mode()) {
-      case TemplateManager::Mode::Capture:
-        op.tmode = TemplateManager::Mode::Capture;
-        if (const auto* index = std::get_if<IndexPayload>(&op.payload)) {
-          op.plan = make_point_plan(st, *index);
-        }
-        break;
-      case TemplateManager::Mode::Validate: {
-        TemplateOp* rec = st.templates.next_op();
-        if (rec == nullptr) break;  // window just aborted
-        if (rec->payload_kind != op.payload.index()) {
-          st.templates.abort_window("op payload kind diverged from the recording");
-          break;
-        }
-        op.tmode = TemplateManager::Mode::Validate;
-        op.trec = rec;
-        if (const auto* index = std::get_if<IndexPayload>(&op.payload)) {
-          op.plan = make_point_plan(st, *index);
-        }
-        break;
-      }
-      case TemplateManager::Mode::Replay: {
-        TemplateOp* rec = st.templates.next_op();
-        if (rec == nullptr) break;
-        if (rec->payload_kind != op.payload.index() || !(rec->call_hash == op.call_hash)) {
-          st.templates.abort_window("op identity diverged from the recording");
-          break;
-        }
-        op.tmode = TemplateManager::Mode::Replay;
-        op.trec = rec;
-        op.plan = rec->plan;
-        op.traced = true;  // reduced analysis cost accounting
-        traced_ops_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-      case TemplateManager::Mode::Inactive:
-        break;
-    }
-  }
+  // ones, per the window's mode (dcr/shard_front.hpp).
+  ctx.plan_template_op(op);
+  if (op.traced) traced_ops_.fetch_add(1, std::memory_order_relaxed);
 
   if (op.tmode == TemplateManager::Mode::Replay && op.trec != nullptr) {
     install_replayed_decision(op);
@@ -763,14 +428,7 @@ void ThreadRuntime::process_op(ThreadShard& st, const OpRecord& op) {
   // ---- coarse stage: the shared analyzer; replayed ops hit the cache ----
   const SimTime c0 = clock_.now();
   const CoarseDecision dec = coarse_decision(st, op);
-  if (op.tmode == TemplateManager::Mode::Capture) {
-    capture_template_op(st, op, dec);
-  } else if (op.tmode == TemplateManager::Mode::Validate) {
-    validate_template_op(st, op, dec);
-    // Also feed the shadow re-recording that replaces the stored template if
-    // the compare above mismatched (record_op routes by mode).
-    capture_template_op(st, op, dec);
-  }
+  core::record_template_decision(st.templates, op, dec);
 
   const std::uint64_t prof_iter =
       st.templates.active().has_value() ? st.windows_opened - 1 : prof::kNoId;
@@ -810,25 +468,8 @@ void ThreadRuntime::process_op(ThreadShard& st, const OpRecord& op) {
   }
 
   // ---- fine stage: owned-point accounting mirrors the simulator ----
-  std::uint64_t owned = 0;
-  if (op.plan) {
-    owned = op.plan->size();
-  } else if (const auto* index = std::get_if<IndexPayload>(&op.payload)) {
-    owned = st.shardings
-                .owned_points(index->launch.sharding, index->launch.domain, num_shards(),
-                              st.id)
-                .size();
-  } else if (const auto* attach = std::get_if<AttachPayload>(&op.payload);
-             attach && attach->partition.valid()) {
-    const rt::Rect dom = rt::Rect::r1(
-        0, static_cast<std::int64_t>(st.forest.num_subregions(attach->partition)) - 1);
-    owned = st.shardings
-                .owned_points(core::ShardingRegistry::blocked(), dom, num_shards(), st.id)
-                .size();
-  } else if (!std::holds_alternative<ReducePayload>(op.payload) &&
-             !std::holds_alternative<FencePayload>(op.payload)) {
-    owned = (single_op_owner(op.id) == st.id) ? 1 : 0;
-  }
+  const std::uint64_t owned =
+      core::owned_point_count(op, st.shardings, st.forest, num_shards(), st.id);
   const bool static_skip = dec.static_skip && !op.traced;
   const SimTime f0 = clock_.now();
   pc.add(op.traced ? prof::Counter::TracedFineOps : prof::Counter::FineOps);
@@ -838,7 +479,7 @@ void ThreadRuntime::process_op(ThreadShard& st, const OpRecord& op) {
     pc.add(prof::Counter::StaticSkipPoints, owned);
     // No virtual cost model here, so no SavedNs estimate is charged.
   }
-  execute_points(st, op, dec);
+  execute_points(st, op);
   const SimTime f1 = clock_.now();
   pc.add(prof::Counter::FineAnalysisNs, f1 - f0);
   pc.observe(prof::Hist::FineStageNs, f1 - f0);
@@ -854,10 +495,7 @@ void ThreadRuntime::process_op(ThreadShard& st, const OpRecord& op) {
 
 // --------------------------------------------------------------- execution
 
-void ThreadRuntime::execute_points(ThreadShard& st, const OpRecord& op,
-                                   const CoarseDecision& dec) {
-  (void)dec;
-
+void ThreadRuntime::execute_points(ThreadShard& st, const OpRecord& op) {
   if (const auto* index = std::get_if<IndexPayload>(&op.payload)) {
     const core::IndexLaunch& launch = index->launch;
     if (index->future_map_id != ~0ull) {
@@ -888,7 +526,7 @@ void ThreadRuntime::execute_points(ThreadShard& st, const OpRecord& op,
   }
 
   if (const auto* task = std::get_if<TaskPayload>(&op.payload)) {
-    if (single_op_owner(op.id) == st.id) {
+    if (core::single_op_owner(op.id, num_shards()) == st.id) {
       rt::Point p;
       p.dim = 1;
       launch_point_task(st, op, p, 0, task->launch.requirements, task->launch.args,
@@ -898,7 +536,7 @@ void ThreadRuntime::execute_points(ThreadShard& st, const OpRecord& op,
   }
 
   if (const auto* fill = std::get_if<FillPayload>(&op.payload)) {
-    if (single_op_owner(op.id) != st.id) return;
+    if (core::single_op_owner(op.id, num_shards()) != st.id) return;
     const rt::Rect rect = st.forest.bounds(fill->region);
     const RegionTreeId tree = st.forest.tree_of(fill->region);
     const TaskId tid(op.id.value * core::kPointsPerOp);
@@ -950,7 +588,7 @@ void ThreadRuntime::execute_points(ThreadShard& st, const OpRecord& op,
       }
       return;
     }
-    if (single_op_owner(op.id) != st.id) return;
+    if (core::single_op_owner(op.id, num_shards()) != st.id) return;
     const rt::Rect rect = st.forest.bounds(attach->region);
     const RegionTreeId tree = st.forest.tree_of(attach->region);
     const TaskId tid(op.id.value * core::kPointsPerOp);
@@ -1113,38 +751,13 @@ void ThreadRuntime::busy_spin(SimTime wall_ns) {
 
 // ----------------------------------------------------------------- execute
 
-void ThreadRuntime::close_template_window(ThreadShard& st) {
-  prof::Counters& pc = profiler_.shard(st.id.value);
-  pc.add(prof::Counter::WindowsClosed);
-  pc.add(st.templates.mode() == TemplateManager::Mode::Replay
-             ? prof::Counter::TemplateWindowHits
-             : prof::Counter::TemplateWindowMisses);
-  st.templates.end(st.forest);
-  profiler_.emit({prof::SpanKind::TraceWindow, prof::Lane::Control, st.id.value,
-                  st.window_started, clock_.now(), prof::kNoId,
-                  st.windows_opened - 1});
-}
-
-void ThreadRuntime::retire_auto_window(ThreadShard& st, const char* reason) {
-  if (st.templates.active()) {
-    st.templates.abort_window(reason);  // no-op if already aborted underneath
-    close_template_window(st);
-  }
-  st.auto_open = false;
-  st.auto_tracer.interrupt();
-}
-
 void ThreadRuntime::shard_main(ThreadShard& st, const core::ApplicationMain& main) {
   try {
     ThreadShardContext ctx(*this, st);
     main(ctx);
-    // The control program is over: discard any open auto window (it can never
-    // complete its period) and stop the detector before the final barrier, so
-    // the finalization fence matches the simulator's finalize_shard behavior.
-    if (st.auto_open) {
-      retire_auto_window(st, "control program ended inside an auto window");
-    }
-    st.auto_stop = true;
+    // Same finalization as the simulator's finalize_shard: stop auto tracing
+    // before the final barrier.
+    ctx.stop_auto_trace();
     // Final barrier so the call/op streams match the simulator's
     // finalize_shard, and every shard's work is done before join.
     ctx.execution_fence();
@@ -1182,9 +795,9 @@ core::DcrStats ThreadRuntime::execute(const core::ApplicationMain& main) {
     stats.ops_issued = std::max(stats.ops_issued, st->next_op);
   }
   stats.point_tasks_launched = point_tasks_launched_.load(std::memory_order_relaxed);
-  stats.fences_inserted = fences_inserted_;
-  stats.fences_elided = fences_elided_;
-  stats.coarse_deps = coarse_deps_;
+  stats.fences_inserted = coarse_stats_.fences_inserted;
+  stats.fences_elided = coarse_stats_.fences_elided;
+  stats.coarse_deps = coarse_stats_.coarse_deps;
   stats.determinism_checks = determinism_checks_.load(std::memory_order_relaxed);
   stats.traced_ops = traced_ops_.load(std::memory_order_relaxed);
 
@@ -1210,58 +823,20 @@ core::DcrStats ThreadRuntime::execute(const core::ApplicationMain& main) {
     if (stats.determinism_violation) stats.completed = false;
   }
 
+  std::uint64_t cache_hits = 0;
   for (const auto& st : shards_) {
-    const TemplateManager::Counters& c = st->templates.counters();
-    stats.templates_captured += c.captured;
-    stats.templates_validated += c.validated;
-    stats.template_replays += c.window_replays;
-    stats.template_invalidations += c.invalidated;
-    stats.template_validation_failures += c.validation_failures;
-    const core::TraceIdentifier::Counters& a = st->auto_tracer.counters();
-    stats.auto_trace_detections += a.detections;
-    stats.auto_trace_promotions += a.promotions;
-    stats.auto_trace_demotions += a.demotions;
-    stats.auto_trace_windows += a.windows;
-    stats.auto_trace_aborts += a.aborts;
-    stats.auto_trace_collisions += a.collisions;
-    prof::Counters& apc = profiler_.shard(st->id.value);
-    apc.add(prof::Counter::AutoTraceDetections, a.detections);
-    apc.add(prof::Counter::AutoTracePromotions, a.promotions);
-    apc.add(prof::Counter::AutoTraceDemotions, a.demotions);
-    apc.add(prof::Counter::AutoTraceWindows, a.windows);
-    apc.add(prof::Counter::AutoTraceAborts, a.aborts);
-    apc.add(prof::Counter::AutoTraceCollisions, a.collisions);
+    core::fold_shard_counters(*st, profiler_, stats);
     for (const auto& [fn, fp] : st->profile) {
       FunctionProfile& merged = profile_[fn];
       merged.tasks += fp.tasks;
       merged.total_time += fp.total_time;
     }
+    cache_hits += st->prover->stats().cache_hits;
   }
-
-  // Static interference analysis: resolved/unresolved were charged online by
-  // the shared analyzer; cache hits come from the per-shard prover replicas
-  // (their sum depends on which shard analyzed first, unlike the simulator's
-  // single prover — excluded from differential parity for that reason).
-  {
-    std::uint64_t cache_hits = 0;
-    for (const auto& st : shards_) cache_hits += st->prover->stats().cache_hits;
-    stats.statics_cache_hits = cache_hits;
-    profiler_.global().add(prof::GlobalCounter::StaticProofCacheHits, cache_hits);
-    stats.statics_resolved_ops =
-        profiler_.global().get(prof::GlobalCounter::StaticLaunchesResolved);
-    stats.statics_unresolved_ops =
-        profiler_.global().get(prof::GlobalCounter::StaticLaunchesUnresolved);
-    for (std::size_t sh = 0; sh < num_shards(); ++sh) {
-      stats.statics_skipped_points +=
-          profiler_.shard(static_cast<std::uint32_t>(sh)).get(prof::Counter::StaticSkipPoints);
-    }
-  }
-
-  // Mirror end-of-run totals into the global counter bank, as the simulator
-  // backend does, so prof snapshots are self-contained on both backends.
-  prof::Counters& g = profiler_.global();
-  g.add(prof::GlobalCounter::TemplateShadowMismatches, stats.template_validation_failures);
-  g.add(prof::GlobalCounter::TemplateInvalidations, stats.template_invalidations);
+  // Statics cache hits come from the per-shard prover replicas (their sum
+  // depends on which shard analyzed first, unlike the simulator's single
+  // prover — excluded from differential parity for that reason).
+  core::fold_run_counters(cache_hits, profiler_, stats);
 
   // dcr-scope: the shards have quiesced (joined), so harvest every fence's
   // per-rank wall-clock timestamps + merged releaser into the blame ledger,

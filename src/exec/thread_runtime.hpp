@@ -9,10 +9,13 @@
 // and edges, identical template window hits and statics verdicts — on both
 // backends.  That is not an accident of testing but of construction:
 //
-//  * the §3 call hashing (dcr/sig.hpp), the op model (dcr/ops.hpp), and the
-//    whole coarse dependence stage (dcr/coarse.hpp) are the *same code* on
-//    both backends; the threads backend calls the shared CoarseAnalyzer
-//    under a mutex where the simulator calls it from its event loop;
+//  * the §3 call hashing (dcr/sig.hpp), the op model (dcr/ops.hpp), the
+//    whole coarse dependence stage (dcr/coarse.hpp), and the control-plane
+//    front end (dcr/shard_front.hpp: the hash-and-issue API calls, trace
+//    windows and the auto-trace tap, template capture/validate/replay) are
+//    the *same code* on both backends; the threads backend calls the shared
+//    CoarseAnalyzer under a mutex where the simulator calls it from its
+//    event loop;
 //  * per-shard state that the simulator replicates logically (region forest,
 //    sharding memoization, template store, RNG) is replicated physically —
 //    one instance per thread, no sharing, no locks;
@@ -56,6 +59,7 @@
 #include "dcr/mapper.hpp"
 #include "dcr/ops.hpp"
 #include "dcr/runtime.hpp"
+#include "dcr/shard_front.hpp"
 #include "dcr/sharding.hpp"
 #include "dcr/template.hpp"
 #include "dcr/trace_id.hpp"
@@ -202,27 +206,14 @@ class ThreadRuntime {
   };
 
   // State owned by exactly one shard thread — the physical replica of what
-  // the simulator backend replicates logically.
-  struct ThreadShard {
-    ShardId id;
+  // the simulator backend replicates logically.  The control-plane part
+  // (cursors, RNG, templates, trace windows) is core::FrontState, shared
+  // with the simulator.
+  struct ThreadShard : core::FrontState {
     rt::RegionForest forest;
     core::ShardingRegistry shardings;
     std::unique_ptr<statics::InterferenceProver> prover;  // over this forest
-    std::unique_ptr<Philox4x32> rng;
-    core::TemplateManager templates;
-    Hash128 last_template_hash{};
-    // Automatic trace identification (dcr/trace_id.hpp): per-shard detector,
-    // whether the open window is auto-opened, and the end-of-program gate.
-    core::TraceIdentifier auto_tracer;
-    bool auto_open = false;
-    bool auto_stop = false;
     Hash128 call_fold{};  // running fold of §3 call hashes, compared at join
-    std::uint64_t next_future = 0;
-    std::uint64_t next_future_map = 0;
-    std::uint64_t next_op = 0;
-    std::uint64_t api_calls = 0;
-    std::uint64_t windows_opened = 0;
-    SimTime window_started = 0;
     std::map<std::uint64_t, CachedFuture> future_cache;  // delivered broadcast values
     std::map<std::uint64_t, FmPartial> fm_partials; // own partials per future map
     std::map<FunctionId, FunctionProfile> profile;  // merged into profile_ at join
@@ -242,24 +233,12 @@ class ThreadRuntime {
   };
 
   ThreadShard& shard(ShardId s) { return *shards_[s.value]; }
-  ShardId single_op_owner(OpId op) const {
-    return ShardId(static_cast<std::uint32_t>(op.value % config_.num_shards));
-  }
 
   // Coarse-stage front door: the shared analyzer under analysis_mu_, stats
   // mirroring + spy emission gated on `fresh` (exactly once, program order).
   // Returns a copy so callers never touch the cache without the lock.
   core::CoarseDecision coarse_decision(ThreadShard& st, const core::OpRecord& op);
   core::CoarseDecision install_replayed_decision(const core::OpRecord& op);
-  void emit_coarse_decision_locked(const core::OpRecord& op, const core::CoarseDecision& dec);
-
-  // Dependence templates (same logic as DcrRuntime's, on this shard's store).
-  void capture_template_op(ThreadShard& st, const core::OpRecord& op,
-                           const core::CoarseDecision& dec);
-  void validate_template_op(ThreadShard& st, const core::OpRecord& op,
-                            const core::CoarseDecision& dec);
-  std::shared_ptr<const core::PointPlanList> make_point_plan(ThreadShard& st,
-                                                             const core::IndexPayload& index);
 
   std::shared_ptr<FenceCollective> fence_for(OpId dependent);
   void ensure_future(std::uint64_t id, OpId producer);
@@ -271,10 +250,9 @@ class ThreadRuntime {
   dcr::scope::TraceCtx scope_ctx(const ThreadShard& st) const;
   bool checks_enabled() const;
 
-  void issue(ThreadShard& st, core::OpPayload payload);
+  void issue(class ThreadShardContext& ctx, core::OpPayload payload);
   void process_op(ThreadShard& st, const core::OpRecord& op);
-  void execute_points(ThreadShard& st, const core::OpRecord& op,
-                      const core::CoarseDecision& dec);
+  void execute_points(ThreadShard& st, const core::OpRecord& op);
   void launch_point_task(ThreadShard& st, const core::OpRecord& op, const rt::Point& point,
                          std::uint64_t point_index, const std::vector<rt::Requirement>& reqs,
                          const std::vector<std::int64_t>& args, FunctionId fn,
@@ -283,14 +261,6 @@ class ThreadRuntime {
                               const std::vector<TaskId>& preds);
   void shard_main(ThreadShard& st, const core::ApplicationMain& main);
   void busy_spin(SimTime wall_ns);
-  // Template window close + hit/miss accounting (mirrors
-  // DcrRuntime::close_template_window).
-  void close_template_window(ThreadShard& st);
-  // Abort AND retire an auto-detected window: unlike an explicit window's
-  // abort (which leaves the slot for its matching end_trace), an auto window
-  // has no end_trace, so it must be closed here (mirrors
-  // DcrRuntime::retire_auto_window).
-  void retire_auto_window(ThreadShard& st, const char* reason);
 
   core::FunctionRegistry& functions_;
   ThreadConfig config_;
@@ -307,12 +277,11 @@ class ThreadRuntime {
 
   std::vector<std::unique_ptr<ThreadShard>> shards_;
 
-  // analysis_mu_ guards the shared analyzer, the statics ledger, the DcrStats
-  // mirrors below, and spy op/coarse-dep emission (program-order streams).
+  // analysis_mu_ guards the shared analyzer, the statics ledger, the coarse
+  // DcrStats mirrors (coarse_deps, fences_elided, fences_inserted), and spy
+  // op/coarse-dep emission (program-order streams).
   std::mutex analysis_mu_;
-  std::uint64_t coarse_deps_ = 0;
-  std::uint64_t fences_elided_ = 0;
-  std::uint64_t fences_inserted_ = 0;
+  core::DcrStats coarse_stats_;
 
   // graph_mu_ guards the user tracker, realized graph/tasks, spy task/edge
   // records, and the per-function profile.

@@ -2,12 +2,11 @@
 //
 // A Profiler owns one prof::Counters track per shard plus a global track
 // (counters.hpp) and, when span recording is enabled (DcrConfig::profile), a
-// structured span timeline: RAII prof::Scope spans (and explicitly emitted
-// ones) over the coarse/fine analysis stages, template replay, fence waits,
-// future waits, and trace windows.  Spans carry (shard, lane, kind, op,
-// iteration) and export as Chrome trace_event JSON — one process per shard,
-// one thread per lane — viewable in Perfetto (ui.perfetto.dev) or
-// chrome://tracing.
+// structured span timeline: spans emitted by the runtimes over the
+// coarse/fine analysis stages, template replay, fence waits, future waits,
+// and trace windows.  Spans carry (shard, lane, kind, op, iteration) and
+// export as Chrome trace_event JSON — one process per shard, one thread per
+// lane — viewable in Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
 // Everything here is host-side bookkeeping: no virtual time is ever charged,
 // so profiling cannot perturb the simulated task graph or makespan (the
@@ -26,7 +25,6 @@
 #include <mutex>
 #include <vector>
 
-#include "common/clock.hpp"
 #include "common/types.hpp"
 #include "prof/counters.hpp"
 
@@ -141,42 +139,6 @@ class Profiler {
   Counters global_;
   std::mutex spans_mu_;
   std::vector<Span> spans_;
-};
-
-// RAII span over a region of a shard's control program: records the clock at
-// construction and emits on destruction (or explicit close()).  The Clock
-// (common/clock.hpp) decides whether timestamps are virtual ticks (sim) or
-// wall nanoseconds (threads).  A no-op when span recording is disabled.
-class Scope {
- public:
-  Scope(Profiler& p, const Clock& clock, std::uint32_t shard, Lane lane,
-        SpanKind kind, std::uint64_t op = kNoId, std::uint64_t iter = kNoId)
-      : p_(p), clock_(clock) {
-    span_.kind = kind;
-    span_.lane = lane;
-    span_.shard = shard;
-    span_.op = op;
-    span_.iter = iter;
-    span_.start = clock.now();
-  }
-
-  Scope(const Scope&) = delete;
-  Scope& operator=(const Scope&) = delete;
-
-  void close() {
-    if (closed_) return;
-    closed_ = true;
-    span_.end = clock_.now();
-    p_.emit(span_);
-  }
-
-  ~Scope() { close(); }
-
- private:
-  Profiler& p_;
-  const Clock& clock_;
-  Span span_{};
-  bool closed_ = false;
 };
 
 }  // namespace dcr::prof

@@ -9,11 +9,15 @@
 // the epoch state has folded in exactly ops 0..k-1.
 //
 // Both execution backends drive this one analyzer implementation: the
-// discrete-event simulator calls it from a single-threaded event loop, the
-// real-threads backend (exec/thread_runtime.cpp) calls it under a mutex.
-// That sharing — not a re-implementation — is what makes the two backends'
-// fence/elision/dependence streams identical by construction, which the
-// differential tests in tests/test_exec.cpp verify end to end.
+// discrete-event simulator calls it from a single-threaded event loop; on
+// the real-threads backend (exec/thread_runtime.cpp) only the first shard to
+// reach an op calls it, under a mutex, and publishes a pointer to the cached
+// decision for the other shards to read without a lock.  That is safe
+// because a cached decision is never mutated after insert and the map never
+// moves its nodes.  That sharing — not a re-implementation — is what makes
+// the two backends' fence/elision/dependence streams identical by
+// construction, which the differential tests in tests/test_exec.cpp verify
+// end to end.
 //
 // The analyzer charges the prof global fence/elision/statics ledgers itself
 // (they must reconcile identically on both backends); the caller owns

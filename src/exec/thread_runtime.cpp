@@ -204,6 +204,7 @@ ThreadRuntime::ThreadRuntime(core::FunctionRegistry& functions, ThreadConfig con
       config_(normalize_config(std::move(config))),
       profiler_(config_.num_shards, config_.profile),
       tracker_(/*keep_completed=*/config_.record_task_graph) {
+  slots_.emplace_back();  // sentinel: its `next` is op 0's slot
   shards_.reserve(config_.num_shards);
   for (std::size_t s = 0; s < config_.num_shards; ++s) {
     auto st = std::make_unique<ThreadShard>();
@@ -211,6 +212,7 @@ ThreadRuntime::ThreadRuntime(core::FunctionRegistry& functions, ThreadConfig con
     st->prover = std::make_unique<statics::InterferenceProver>(st->forest, projections_,
                                                                config_.statics_check);
     st->rng = std::make_unique<Philox4x32>(/*seed=*/0x5eed, /*stream=*/0);
+    st->cursor = &slots_.front();
     st->inbox.reserve(config_.num_shards);
     for (std::size_t p = 0; p < config_.num_shards; ++p) {
       st->inbox.push_back(p == s ? nullptr
@@ -274,43 +276,44 @@ const core::TraceIdentifier& ThreadRuntime::shard_auto_tracer(ShardId s) {
 
 // ----------------------------------------------------------- coarse stage
 
-CoarseDecision ThreadRuntime::coarse_decision(ThreadShard& st, const OpRecord& op) {
-  std::lock_guard<std::mutex> lk(analysis_mu_);
-  bool fresh = false;
-  // The calling shard's forest/prover stand in for the simulator's shared
-  // ones: every replica is at the same program point when its shard first
-  // reaches this op, so whichever shard computes the decision sees identical
-  // region state (control determinism).  Later shards hit the cache.
-  const CoarseDecision& dec = coarse_.decide(op, st.forest, *st.prover, statics_ledger_,
-                                             core::single_op_owner(op.id, num_shards()),
-                                             &fresh);
-  if (fresh) core::emit_coarse_decision(op, dec, coarse_stats_, trace_.get());
-  return dec;  // copy: the cache must not be read outside the lock
-}
-
-CoarseDecision ThreadRuntime::install_replayed_decision(const OpRecord& op) {
-  std::lock_guard<std::mutex> lk(analysis_mu_);
-  bool fresh = false;
-  const CoarseDecision& dec = coarse_.install_replayed(op, statics_ledger_, &fresh);
-  if (fresh) core::emit_coarse_decision(op, dec, coarse_stats_, trace_.get());
-  return dec;
+const ThreadRuntime::OpSlot& ThreadRuntime::coarse_slot(ThreadShard& st,
+                                                        const OpRecord& op) {
+  OpSlot* slot = st.cursor->next.load(std::memory_order_acquire);
+  if (slot == nullptr) {
+    std::lock_guard<std::mutex> lk(analysis_mu_);
+    slot = st.cursor->next.load(std::memory_order_acquire);
+    if (slot == nullptr) {
+      // This shard is the publisher.  Its forest/prover stand in for the
+      // simulator's shared ones: every replica is at the same program point
+      // when its shard first reaches this op, so whichever shard decides sees
+      // identical region state (control determinism).
+      bool fresh = false;
+      const CoarseDecision& dec =
+          op.tmode == TemplateManager::Mode::Replay && op.trec != nullptr
+              ? coarse_.install_replayed(op, statics_ledger_, &fresh)
+              : coarse_.decide(op, st.forest, *st.prover, statics_ledger_,
+                               core::single_op_owner(op.id, num_shards()), &fresh);
+      DCR_CHECK(fresh) << "op " << op.id.value << " was decided but never published";
+      core::emit_coarse_decision(op, dec, coarse_stats_, trace_.get());
+      OpSlot& pub = slots_.emplace_back();
+      pub.op = op.id;
+      pub.dec = &dec;
+      if (!dec.fence_sources.empty()) {
+        pub.fence = std::make_unique<FenceCollective>(static_cast<std::uint32_t>(num_shards()));
+        profiler_.global().add(prof::GlobalCounter::FenceCollectives);
+        profiler_.global().add(prof::GlobalCounter::CollectiveRounds);
+      }
+      st.cursor->next.store(&pub, std::memory_order_release);
+      slot = &pub;
+    }
+  }
+  DCR_CHECK(slot->op == op.id) << "coarse slot for op " << slot->op.value
+                               << " read at op " << op.id.value;
+  st.cursor = slot;
+  return *slot;
 }
 
 // ------------------------------------------------------------- collectives
-
-std::shared_ptr<FenceCollective> ThreadRuntime::fence_for(OpId dependent) {
-  std::lock_guard<std::mutex> lk(fences_mu_);
-  auto it = fences_.find(dependent.value);
-  if (it == fences_.end()) {
-    it = fences_
-             .emplace(dependent.value, std::make_shared<FenceCollective>(
-                                           static_cast<std::uint32_t>(num_shards())))
-             .first;
-    profiler_.global().add(prof::GlobalCounter::FenceCollectives);
-    profiler_.global().add(prof::GlobalCounter::CollectiveRounds);
-  }
-  return it->second;
-}
 
 void ThreadRuntime::ensure_future(std::uint64_t id, OpId producer) {
   std::lock_guard<std::mutex> lk(futures_mu_);
@@ -417,17 +420,15 @@ void ThreadRuntime::issue(ThreadShardContext& ctx, OpPayload payload) {
   // ones, per the window's mode (dcr/shard_front.hpp).
   ctx.plan_template_op(op);
   if (op.traced) traced_ops_.fetch_add(1, std::memory_order_relaxed);
-
-  if (op.tmode == TemplateManager::Mode::Replay && op.trec != nullptr) {
-    install_replayed_decision(op);
-  }
   process_op(st, op);
 }
 
 void ThreadRuntime::process_op(ThreadShard& st, const OpRecord& op) {
-  // ---- coarse stage: the shared analyzer; replayed ops hit the cache ----
+  // ---- coarse stage: the op's published slot; the first shard to reach
+  //      the op decides it (fresh or replayed) for everyone ----
   const SimTime c0 = clock_.now();
-  const CoarseDecision dec = coarse_decision(st, op);
+  const OpSlot& slot = coarse_slot(st, op);
+  const CoarseDecision& dec = *slot.dec;
   core::record_template_decision(st.templates, op, dec);
 
   const std::uint64_t prof_iter =
@@ -444,7 +445,7 @@ void ThreadRuntime::process_op(ThreadShard& st, const OpRecord& op) {
   //      arrives; identical decision streams make the barrier order safe ----
   if (!dec.fence_sources.empty()) {
     pc.add(prof::Counter::FenceWaits);
-    std::shared_ptr<FenceCollective> coll = fence_for(op.id);
+    FenceCollective* coll = slot.fence.get();
     const SimTime w0 = clock_.now();
     if (scope_) {
       // Blame stamping: the SAME w0/w1 clock reads feed both the prof
@@ -840,12 +841,11 @@ core::DcrStats ThreadRuntime::execute(const core::ApplicationMain& main) {
 
   // dcr-scope: the shards have quiesced (joined), so harvest every fence's
   // per-rank wall-clock timestamps + merged releaser into the blame ledger,
-  // in dependent-op order (fences_ is an ordered map) — same drain point as
-  // the simulator backend's end of execute.
+  // in dependent-op order (slots_ is in op order) — same drain point as the
+  // simulator backend's end of execute.
   if (scope_) {
-    std::lock_guard<std::mutex> lk(fences_mu_);
-    for (const auto& [op, coll] : fences_) {
-      if (coll) scope_->harvest_fence(op, *coll);
+    for (const OpSlot& s : slots_) {
+      if (s.fence) scope_->harvest_fence(s.op.value, *s.fence);
     }
     scope_->set_run_info(stats.makespan, /*recovery_epochs=*/0);
   }

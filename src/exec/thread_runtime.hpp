@@ -13,9 +13,10 @@
 //    whole coarse dependence stage (dcr/coarse.hpp), and the control-plane
 //    front end (dcr/shard_front.hpp: the hash-and-issue API calls, trace
 //    windows and the auto-trace tap, template capture/validate/replay) are
-//    the *same code* on both backends; the threads backend calls the shared
-//    CoarseAnalyzer under a mutex where the simulator calls it from its
-//    event loop;
+//    the *same code* on both backends.  The simulator calls the shared
+//    CoarseAnalyzer from its event loop; on threads the first shard to reach
+//    an op calls it (under analysis_mu_) and publishes the decision into a
+//    per-op slot that every other shard reads without a lock (see OpSlot);
 //  * per-shard state that the simulator replicates logically (region forest,
 //    sharding memoization, template store, RNG) is replicated physically —
 //    one instance per thread, no sharing, no locks;
@@ -46,6 +47,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -205,6 +207,22 @@ class ThreadRuntime {
     dcr::scope::TraceCtx ctx;  // context the value was delivered with
   };
 
+  // One op's coarse-stage outcome, published once for every shard.  The
+  // first shard to reach op k (the publisher) takes analysis_mu_, decides
+  // the op, creates its fence collective if it has fence sources, appends
+  // the slot, and release-stores it into op k-1's `next`.  Every other shard
+  // acquire-loads `next` from its own cursor (the slot of the op it processed
+  // last) and reads the slot with no lock and no copy; it takes the mutex
+  // only when `next` is still null.  `dec` points into CoarseAnalyzer's
+  // decision map, whose nodes never move and are never mutated after insert,
+  // so the pointer stays valid for the runtime's lifetime.
+  struct OpSlot {
+    OpId op;
+    const core::CoarseDecision* dec = nullptr;
+    std::unique_ptr<FenceCollective> fence;  // non-null iff dec->fence_sources
+    std::atomic<OpSlot*> next{nullptr};
+  };
+
   // State owned by exactly one shard thread — the physical replica of what
   // the simulator backend replicates logically.  The control-plane part
   // (cursors, RNG, templates, trace windows) is core::FrontState, shared
@@ -224,6 +242,7 @@ class ThreadRuntime {
     std::vector<FutureMsg> overflow;
     alignas(kCacheLine) std::atomic<std::uint64_t> doorbell{0};
     std::string error;  // first failure on this thread, surfaced at join
+    OpSlot* cursor = nullptr;  // slot of the last op this shard processed
   };
 
   struct FutureEntry {
@@ -234,13 +253,12 @@ class ThreadRuntime {
 
   ThreadShard& shard(ShardId s) { return *shards_[s.value]; }
 
-  // Coarse-stage front door: the shared analyzer under analysis_mu_, stats
-  // mirroring + spy emission gated on `fresh` (exactly once, program order).
-  // Returns a copy so callers never touch the cache without the lock.
-  core::CoarseDecision coarse_decision(ThreadShard& st, const core::OpRecord& op);
-  core::CoarseDecision install_replayed_decision(const core::OpRecord& op);
+  // Coarse-stage front door: the published slot for `op` (see OpSlot),
+  // advancing the shard's cursor.  The publisher runs CoarseAnalyzer::decide,
+  // or install_replayed for a replayed op, and mirrors stats and spy records
+  // exactly once, in program order.
+  const OpSlot& coarse_slot(ThreadShard& st, const core::OpRecord& op);
 
-  std::shared_ptr<FenceCollective> fence_for(OpId dependent);
   void ensure_future(std::uint64_t id, OpId producer);
   void ensure_reduce_future(std::uint64_t id, core::ReduceOp rop);
   void publish_future(ThreadShard& st, std::uint64_t id, double value);
@@ -277,11 +295,16 @@ class ThreadRuntime {
 
   std::vector<std::unique_ptr<ThreadShard>> shards_;
 
-  // analysis_mu_ guards the shared analyzer, the statics ledger, the coarse
-  // DcrStats mirrors (coarse_deps, fences_elided, fences_inserted), and spy
-  // op/coarse-dep emission (program-order streams).
+  // analysis_mu_ is held only by an op's publisher (coarse_slot).  It guards
+  // the shared analyzer, the statics ledger, the coarse DcrStats mirrors
+  // (coarse_deps, fences_elided, fences_inserted), spy op/coarse-dep emission
+  // (program-order streams), and appends to slots_.  Readers of a published
+  // slot never take it.
   std::mutex analysis_mu_;
   core::DcrStats coarse_stats_;
+  // Every op's slot in op order after a sentinel (the shards' first cursor);
+  // a deque so appends never move a published slot.
+  std::deque<OpSlot> slots_;
 
   // graph_mu_ guards the user tracker, realized graph/tasks, spy task/edge
   // records, and the per-function profile.
@@ -292,8 +315,6 @@ class ThreadRuntime {
 
   std::mutex futures_mu_;
   std::map<std::uint64_t, FutureEntry> futures_;
-  std::mutex fences_mu_;
-  std::map<std::uint64_t, std::shared_ptr<FenceCollective>> fences_;
 
   std::atomic<std::uint64_t> point_tasks_launched_{0};
   std::atomic<std::uint64_t> determinism_checks_{0};

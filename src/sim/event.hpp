@@ -113,8 +113,13 @@ inline Event merge_events(std::span<const Event> events) {
   UserEvent merged;
   auto remaining = std::make_shared<std::size_t>(pending.size());
   for (const Event& e : pending) {
-    e.on_trigger([merged, remaining, e]() {
-      if (--*remaining == 0) merged.trigger(e.trigger_time());
+    // The waiter names its input by raw pointer, not by handle: a handle in
+    // the input's own waiter list would keep an input that never triggers (a
+    // run that aborts) and everything chained behind `merged` alive forever.
+    // The waiter only runs from that input's trigger(), while it is alive.
+    const detail::EventState* input = e.state_.get();
+    e.on_trigger([merged, remaining, input]() {
+      if (--*remaining == 0) merged.trigger(input->trigger_time);
     });
   }
   return merged;

@@ -7,6 +7,7 @@
 // are also run under ThreadSanitizer by check-hardened.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -287,6 +288,10 @@ struct BackendRun {
   // Non-volatile per-shard prof counters (wall-time Ns counters excluded).
   std::vector<std::vector<std::uint64_t>> counters;
   std::vector<std::uint64_t> globals;
+  std::uint64_t collective_rounds = 0;
+  // Dependent op of every fence the scope ledger harvested, in ledger order
+  // (threads runs with DiffOptions::scope only).
+  std::vector<std::uint64_t> scope_fence_ops;
 };
 
 constexpr prof::Counter kParityCounters[] = {
@@ -315,11 +320,14 @@ void harvest_counters(const prof::Profiler& prof, std::size_t shards, BackendRun
   for (prof::GlobalCounter g : kParityGlobals) {
     out->globals.push_back(prof.global().get(g));
   }
+  out->collective_rounds = prof.global().get(prof::GlobalCounter::CollectiveRounds);
 }
 
 struct DiffOptions {
   bool statics_check = false;
   bool disable_fence_elision = false;
+  core::TraceIdConfig auto_trace;
+  bool scope = false;  // threads backend only
 };
 
 BackendRun run_sim(const ApplicationMain& app, FunctionRegistry& functions,
@@ -329,6 +337,7 @@ BackendRun run_sim(const ApplicationMain& app, FunctionRegistry& functions,
   cfg.record_trace = true;
   cfg.statics_check = opt.statics_check;
   cfg.disable_fence_elision = opt.disable_fence_elision;
+  cfg.auto_trace = opt.auto_trace;
   DcrRuntime rt(machine, functions, cfg);
   BackendRun out;
   out.stats = rt.execute(app);
@@ -344,11 +353,18 @@ BackendRun run_threads(const ApplicationMain& app, FunctionRegistry& functions,
   cfg.record_trace = true;
   cfg.statics_check = opt.statics_check;
   cfg.disable_fence_elision = opt.disable_fence_elision;
+  cfg.auto_trace = opt.auto_trace;
+  cfg.scope = opt.scope;
   ThreadRuntime rt(functions, cfg);
   BackendRun out;
   out.stats = rt.execute(app);
   out.trace = *rt.trace();
   harvest_counters(rt.profiler(), shards, &out);
+  if (rt.scope()) {
+    for (const dcr::scope::FenceRec& f : rt.scope()->fences()) {
+      out.scope_fence_ops.push_back(f.op);
+    }
+  }
   return out;
 }
 
@@ -592,6 +608,73 @@ TEST(ExecParity, EveryApiCallAgreesAcrossBackends) {
     const BackendRun thr_run = run_threads(app, functions, shards);
     expect_equivalent(sim_run, thr_run, what.c_str());
     EXPECT_GT(thr_run.stats.template_replays, 0u) << what;
+  }
+}
+
+// ------------------------------------------------ coarse publication path
+
+// Each op's coarse decision and fence collective are published once, by the
+// first shard to reach the op, and every other shard reads them without a
+// lock (ThreadRuntime::OpSlot).  Eight shard threads on a smaller host get
+// preempted inside the publish window, and the two programs between them
+// mix captured, validated, replayed and fresh ops with blocking futures.
+// The runs must match the simulator on stats, prof counters and the
+// collective globals, and the scope ledger must hold one fence record per
+// fenced op, in ascending op order.
+TEST(ExecPublication, EightShardsMatchSimulatorAndHarvestFencesInOpOrder) {
+  core::TraceIdConfig auto_trace;
+  auto_trace.enabled = true;
+  auto_trace.min_period = 2;
+  auto_trace.probe = 6;
+  auto_trace.promote_periods = 1;
+  struct Program {
+    const char* name;
+    apps::StencilConfig cfg;
+  };
+  const Program programs[] = {
+      {"phase stencil", {.cells_per_tile = 32, .tiles = 16, .steps = 48, .phase_every = 6}},
+      // Hand trace windows, and every step reduces a residual outside the
+      // window and branches on it: a blocking future per step.
+      {"residual stencil",
+       {.cells_per_tile = 32, .tiles = 16, .steps = 24, .use_trace = true,
+        .residual_every = 1, .phase_every = 4}},
+  };
+  constexpr std::size_t kShards = 8;
+  for (const Program& p : programs) {
+    FunctionRegistry functions;
+    const ApplicationMain app =
+        apps::make_stencil_app(p.cfg, apps::register_stencil_functions(functions, 1.0));
+    DiffOptions opt;
+    opt.auto_trace = auto_trace;
+    const BackendRun sim_run = run_sim(app, functions, kShards, opt);
+    opt.scope = true;
+    for (int run = 0; run < 3; ++run) {
+      const std::string what = std::string(p.name) + " run " + std::to_string(run);
+      const BackendRun thr_run = run_threads(app, functions, kShards, opt);
+      expect_equivalent(sim_run, thr_run, what.c_str());
+      EXPECT_EQ(sim_run.collective_rounds, thr_run.collective_rounds) << what;
+      // The program exercised every coarse path.
+      EXPECT_GT(thr_run.stats.templates_captured, 0u) << what;
+      EXPECT_GT(thr_run.stats.templates_validated, 0u) << what;
+      EXPECT_GT(thr_run.stats.template_replays, 0u) << what;
+      // traced_ops sums over shards; ops_issued is per shard.
+      EXPECT_LT(thr_run.stats.traced_ops, thr_run.stats.ops_issued * kShards) << what;
+      if (p.cfg.residual_every > 0) {
+        EXPECT_NE(std::count_if(thr_run.trace.calls[0].begin(), thr_run.trace.calls[0].end(),
+                                [](const spy::CallRecord& c) { return c.name == "get_future"; }),
+                  0)
+            << what;
+      }
+
+      std::vector<std::uint64_t> fenced_ops;
+      for (const spy::OpRecord& op : thr_run.trace.ops) {
+        if (!op.fence_sources.empty()) fenced_ops.push_back(op.id.value);
+      }
+      ASSERT_EQ(fenced_ops.size(), thr_run.stats.fences_inserted) << what;
+      EXPECT_TRUE(std::is_sorted(fenced_ops.begin(), fenced_ops.end())) << what;
+      EXPECT_EQ(thr_run.scope_fence_ops, fenced_ops) << what;
+      if (::testing::Test::HasFailure()) FAIL() << what;
+    }
   }
 }
 

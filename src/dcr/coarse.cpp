@@ -108,16 +108,10 @@ void CoarseAnalyzer::apply_epoch_update(OpId op, FieldId f, const ReqSummary& r)
   }
 }
 
-const CoarseDecision& CoarseAnalyzer::decide(const OpRecord& op, const rt::RegionForest& forest,
-                                             statics::InterferenceProver& prover,
-                                             statics::LaunchLedger& ledger, ShardId owner,
-                                             bool* fresh) {
-  *fresh = false;
-  auto it = decisions_.find(op.id);
-  if (it != decisions_.end()) return it->second;
-  // The first shard to reach this op computes the (shared, deterministic)
-  // decision; shards process ops in program order, so the shared coarse
-  // state has folded in exactly the ops before this one.
+CoarseDecision CoarseAnalyzer::decide(const OpRecord& op, const rt::RegionForest& forest,
+                                      statics::InterferenceProver& prover, ShardId owner) {
+  // Ops arrive in program order, so the epoch state has folded in exactly
+  // the ops before this one.
   DCR_CHECK(next_op_ == op.id.value)
       << "coarse analysis out of order: expected op " << next_op_ << " got " << op.id.value;
   next_op_++;
@@ -157,13 +151,7 @@ const CoarseDecision& CoarseAnalyzer::decide(const OpRecord& op, const rt::Regio
         static_ok = false;
       }
     }
-    if (opts_.static_analysis) {
-      // Launch-site ledger for the offline lint (`dcr-spy statics`).
-      for (const ReqSummary& r : reqs) {
-        if (!r.is_index || !r.partition.valid()) continue;
-        ledger.note(r.partition, r.projection, r.domain, r.privilege, r.redop);
-      }
-    }
+    note_launch_sites(reqs);
     for (const ReqSummary& r : reqs) {
       for (FieldId f : r.fields) {
         CoarseFieldState& fs = state_[{r.tree, f}];
@@ -199,9 +187,9 @@ const CoarseDecision& CoarseAnalyzer::decide(const OpRecord& op, const rt::Regio
     }
     dec.summaries = std::move(reqs);
     dec.static_skip = static_ok;
-    if (statics_candidate) {
-      profiler_.global().add(static_ok ? prof::GlobalCounter::StaticLaunchesResolved
-                                       : prof::GlobalCounter::StaticLaunchesUnresolved);
+    if (statics_candidate && global_ != nullptr) {
+      global_->add(static_ok ? prof::GlobalCounter::StaticLaunchesResolved
+                             : prof::GlobalCounter::StaticLaunchesUnresolved);
     }
     if (dec.static_skip && opts_.statics_check) {
       // Debug oracle: re-derive every proof by concrete point enumeration.
@@ -215,26 +203,17 @@ const CoarseDecision& CoarseAnalyzer::decide(const OpRecord& op, const rt::Regio
   // dependence is a fence-or-elide decision, and with elision enabled each
   // one ran the §4.1 shard-locality proof.  fences_issued + fences_elided ==
   // fence_decisions by construction (tests/test_prof.cpp pins this).
-  {
-    prof::Counters& g = profiler_.global();
-    g.add(prof::GlobalCounter::FenceDecisions, dec.deps);
-    g.add(prof::GlobalCounter::FencesElided, dec.elided);
-    g.add(prof::GlobalCounter::FencesIssued, dec.deps - dec.elided);
+  if (global_ != nullptr) {
+    charge_fence_decisions(dec);
     if (!opts_.disable_fence_elision) {
-      g.add(prof::GlobalCounter::ElisionProofsAttempted, dec.deps);
-      g.add(prof::GlobalCounter::ElisionProofsSucceeded, dec.elided);
+      global_->add(prof::GlobalCounter::ElisionProofsAttempted, dec.deps);
+      global_->add(prof::GlobalCounter::ElisionProofsSucceeded, dec.elided);
     }
   }
-  *fresh = true;
-  return decisions_.emplace(op.id, std::move(dec)).first->second;
+  return dec;
 }
 
-const CoarseDecision& CoarseAnalyzer::install_replayed(const OpRecord& op,
-                                                       statics::LaunchLedger& ledger,
-                                                       bool* fresh) {
-  *fresh = false;
-  auto it = decisions_.find(op.id);
-  if (it != decisions_.end()) return it->second;  // another shard got here first
+CoarseDecision CoarseAnalyzer::install_replayed(const OpRecord& op) {
   const TemplateOp& rec = *op.trec;
   DCR_CHECK(next_op_ == op.id.value)
       << "template replay out of order: expected op " << next_op_ << " got " << op.id.value;
@@ -277,23 +256,27 @@ const CoarseDecision& CoarseAnalyzer::install_replayed(const OpRecord& op,
   // Replayed ops already charge the reduced traced costs; a static skip on
   // top would double-discount, so replays never set it (dec.static_skip stays
   // false).  The lint ledger still sees the launch sites.
-  if (opts_.static_analysis) {
-    for (const ReqSummary& r : dec.summaries) {
-      if (!r.is_index || !r.partition.valid()) continue;
-      ledger.note(r.partition, r.projection, r.domain, r.privilege, r.redop);
-    }
-  }
+  note_launch_sites(dec.summaries);
   // Replayed decisions still count as fence-or-elide outcomes, but the
   // shard-locality proofs were skipped (that is the point of the template),
   // so the proof counters stay untouched.
-  {
-    prof::Counters& g = profiler_.global();
-    g.add(prof::GlobalCounter::FenceDecisions, dec.deps);
-    g.add(prof::GlobalCounter::FencesElided, dec.elided);
-    g.add(prof::GlobalCounter::FencesIssued, dec.deps - dec.elided);
+  if (global_ != nullptr) charge_fence_decisions(dec);
+  return dec;
+}
+
+void CoarseAnalyzer::note_launch_sites(const std::vector<ReqSummary>& reqs) {
+  // Launch-site ledger for the offline lint (`dcr-spy statics`).
+  if (!opts_.static_analysis || ledger_ == nullptr) return;
+  for (const ReqSummary& r : reqs) {
+    if (!r.is_index || !r.partition.valid()) continue;
+    ledger_->note(r.partition, r.projection, r.domain, r.privilege, r.redop);
   }
-  *fresh = true;
-  return decisions_.emplace(op.id, std::move(dec)).first->second;
+}
+
+void CoarseAnalyzer::charge_fence_decisions(const CoarseDecision& dec) {
+  global_->add(prof::GlobalCounter::FenceDecisions, dec.deps);
+  global_->add(prof::GlobalCounter::FencesElided, dec.elided);
+  global_->add(prof::GlobalCounter::FencesIssued, dec.deps - dec.elided);
 }
 
 }  // namespace dcr::core

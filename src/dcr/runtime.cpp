@@ -347,22 +347,21 @@ bool DcrRuntime::finished() const {
 // ----------------------------------------------------------- coarse stage
 //
 // The analysis itself lives in dcr/coarse.hpp (shared with the threads
-// backend); these wrappers mirror DcrStats and emit the spy trace records
-// exactly once per op — gated on the analyzer's `fresh` out-param.
+// backend).  The simulator's shards share one logical analyzer, so the first
+// shard to reach an op decides it (a replayed op skips the conflict scans)
+// and caches the decision for the others; this wrapper also mirrors DcrStats
+// and emits the spy trace records exactly once per op.
 
 const CoarseDecision& DcrRuntime::coarse_decision(const OpRecord& op) {
-  bool fresh = false;
-  const CoarseDecision& dec = coarse_.decide(op, forest_, statics_prover_, statics_ledger_,
-                                             single_op_owner(op.id, num_shards()), &fresh);
-  if (fresh) emit_coarse_decision(op, dec, stats_, trace_.get());
-  return dec;
-}
-
-const CoarseDecision& DcrRuntime::install_replayed_decision(const OpRecord& op) {
-  bool fresh = false;
-  const CoarseDecision& dec = coarse_.install_replayed(op, statics_ledger_, &fresh);
-  if (fresh) emit_coarse_decision(op, dec, stats_, trace_.get());
-  return dec;
+  auto it = decisions_.find(op.id);
+  if (it != decisions_.end()) return it->second;
+  CoarseDecision dec =
+      op.tmode == TemplateManager::Mode::Replay && op.trec != nullptr
+          ? coarse_.install_replayed(op)
+          : coarse_.decide(op, forest_, statics_prover_, single_op_owner(op.id, num_shards()));
+  const CoarseDecision& cached = decisions_.emplace(op.id, std::move(dec)).first->second;
+  emit_coarse_decision(op, cached, stats_, trace_.get());
+  return cached;
 }
 
 bool DcrRuntime::all_fences_complete() const {
@@ -495,16 +494,13 @@ void DcrRuntime::commit_op(ShardId s, const OpRecord& op) {
     // the decision is in the shared cache (the dead incarnation processed it).
     if (op.tmode == TemplateManager::Mode::Capture ||
         op.tmode == TemplateManager::Mode::Validate) {
-      if (const CoarseDecision* dec = coarse_.find(op.id)) {
-        record_template_decision(st.templates, op, *dec);
+      if (auto it = decisions_.find(op.id); it != decisions_.end()) {
+        record_template_decision(st.templates, op, it->second);
       } else {
         st.templates.abort_window("committed op has no cached coarse decision");
       }
     }
     return;
-  }
-  if (op.tmode == TemplateManager::Mode::Replay && op.trec != nullptr) {
-    install_replayed_decision(op);
   }
   process_op(s, op);
   st.commit.record_op(op.id.value);
@@ -515,8 +511,6 @@ void DcrRuntime::commit_op(ShardId s, const OpRecord& op) {
 
 void DcrRuntime::process_op(ShardId s, const OpRecord& op) {
   ShardState& st = shard(s);
-  // Replayed ops had their recorded decision installed by commit_op, so this
-  // lookup hits the cache and skips the conflict scans entirely.
   const CoarseDecision& dec = coarse_decision(op);
   record_template_decision(st.templates, op, dec);
 
@@ -1004,8 +998,8 @@ void DcrRuntime::on_corruption_healed(OpId op, bool traced, const QuorumOutcome&
       // ledger.  Spy records are NOT re-appended (the decision stream is
       // unchanged), so the dcr-prof cross-check subtracts the SdcReissued*
       // counters before comparing against the trace.
-      if (const CoarseDecision* found = coarse_.find(op)) {
-        const CoarseDecision& dec = *found;
+      if (auto found = decisions_.find(op); found != decisions_.end()) {
+        const CoarseDecision& dec = found->second;
         prof::Counters& g = profiler_.global();
         g.add(prof::GlobalCounter::FenceDecisions, dec.deps);
         g.add(prof::GlobalCounter::FencesElided, dec.elided);

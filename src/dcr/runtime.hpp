@@ -393,11 +393,11 @@ class DcrRuntime {
     return machine_.analysis_proc(placement_[s.value]);
   }
 
-  // Coarse-stage front door: runs coarse_.decide() / coarse_.install_replayed()
-  // and, when this call computed the decision, mirrors DcrStats and emits the
-  // spy trace records (emit_coarse_decision, dcr/shard_front.hpp) exactly once.
+  // Coarse-stage front door: the cached decision for `op`, or else the
+  // result of coarse_.install_replayed() for a replayed op and
+  // coarse_.decide() otherwise, cached and mirrored into DcrStats and the spy
+  // trace (emit_coarse_decision, dcr/shard_front.hpp) exactly once.
   const CoarseDecision& coarse_decision(const OpRecord& op);
-  const CoarseDecision& install_replayed_decision(const OpRecord& op);
 
   FenceRecord& fence_for(OpId dependent);
   FutureRecord& ensure_future(std::uint64_t id, OpId producer);
@@ -487,12 +487,15 @@ class DcrRuntime {
   std::vector<Creation> creations_;
 
   std::vector<std::unique_ptr<ShardState>> shards_;
-  // Shared coarse dependence stage (dcr/coarse.hpp): decisions, epoch state,
-  // program-order guard.  Also used verbatim by the threads backend.
+  // The shards' one logical coarse dependence stage (dcr/coarse.hpp): epoch
+  // state and program-order guard, plus the decision cache every shard reads
+  // (and recovery and SDC healing re-read).  The analyzer is also used
+  // verbatim, one replica per shard, by the threads backend.
   CoarseAnalyzer coarse_{
       CoarseAnalyzer::Options{config_.disable_fence_elision, config_.static_analysis,
                               config_.statics_check},
-      profiler_};
+      &profiler_.global(), &statics_ledger_};
+  std::map<OpId, CoarseDecision> decisions_;
 
   std::map<std::uint64_t, FutureRecord> futures_;
   std::map<std::uint64_t, FutureMapRecord> future_maps_;

@@ -2,45 +2,75 @@
 //
 // FenceCollective: the cross-shard fence of paper §4.1/§4.2 as a reusable
 // N-thread barrier — atomic arrival counter plus futex-style parking via
-// C++20 atomic wait/notify (no mutex, no condvar).  Sense-reversing by
-// generation so the same object serves every fence epoch.
+// C++20 atomic wait/notify (no mutex, no condvar, no spin).  Sense-reversing
+// by generation, so one object serves every round: every shard passes every
+// fence of a control-deterministic program in the same order, so the threads
+// backend routes all of a run's fences through one instance.
+//
+// The fence also carries the paper's §3 control-determinism check, with no
+// extra messages: each checked arrival writes the op it fences and its
+// running call fold into its own rank slot before the arrival RMW, and the
+// last arriver compares the slots.  A mismatch releases the round as failed.
+// Every rank ends with one more arrival marked kProgramEnd, so ranks that
+// fenced a different number of times fail there rather than park, and the
+// fold covers every call of the program.
+// A shard whose control program throws poisons the barrier.  Either way
+// every parked and every later arrival throws FenceAborted, so all shards
+// unwind instead of parking forever, and the first failure is kept for the
+// join.
 //
 // ValueCollective: the future all-reduce/broadcast — every shard pushes its
 // (rank, value) contribution through an MPMC fan-in queue; the last arriver
 // drains the queue, combines in deterministic rank order, and publishes the
 // result for everyone.  Rank-order combination makes the result independent
 // of arrival order, so repeated runs (and the differential tests) see one
-// value stream.
-//
-// dcr-scope blame (ThreadConfig::scope): the stamped arrival paths mirror the
-// simulated collectives' blame surface (sim/collective.hpp) on wall-clock
-// time — per-rank arrival/completion timestamps plus the associative
-// latest-merge of the arriving TraceCtxs, read back at end-of-run by
-// Recorder::harvest_fence / ValueCollective::result_ctx.  Each rank writes
-// only its own slot before its acq_rel fetch_add; the RMW chain makes every
-// slot visible to the last arriver, which folds the merged blame before
-// releasing the round.  The stamped FenceCollective path supports exactly one
-// round per object (the threads backend keys collectives by dependent op id,
-// so every fence object serves one round).
+// value stream.  Under ThreadConfig::scope the arriving TraceCtxs fold with
+// the associative latest-merge into result_ctx(), mirroring the simulated
+// collective's fan-in (sim/collective.hpp).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/hash128.hpp"
 #include "common/types.hpp"
 #include "exec/queue.hpp"
 #include "scope/context.hpp"
 
 namespace dcr::exec {
 
+// Thrown out of FenceCollective::arrive_and_wait once the barrier has failed.
+class FenceAborted : public std::runtime_error {
+ public:
+  FenceAborted() : std::runtime_error("cross-shard fence aborted") {}
+};
+
 class FenceCollective {
  public:
-  explicit FenceCollective(std::uint32_t ranks) : ranks_(ranks), blame_(ranks) {
+  // What a checked arrival carries: the dependent op it fences and, with
+  // determinism checks on, the rank's running §3 call fold.
+  struct Arrival {
+    std::uint64_t op = 0;
+    Hash128 fold{};
+    friend bool operator==(const Arrival&, const Arrival&) = default;
+  };
+
+  // The op a rank arrives with once its control program has ended.  Every
+  // rank makes this one last arrival, so a rank that fenced fewer times than
+  // the others meets their next fence here and the round fails as Diverged,
+  // instead of leaving them parked.
+  static constexpr std::uint64_t kProgramEnd = ~0ull;
+
+  enum class Failure : std::uint8_t { None, Diverged, Poisoned };
+
+  explicit FenceCollective(std::uint32_t ranks) : ranks_(ranks), slots_(ranks) {
     DCR_CHECK(ranks >= 1);
   }
 
@@ -50,100 +80,102 @@ class FenceCollective {
   std::uint32_t ranks() const { return ranks_; }
   std::uint64_t generation() const { return generation_.load(std::memory_order_acquire); }
 
-  // Arrive and block until all ranks of this generation have arrived.  The
-  // last arriver bumps the generation and wakes the parked ranks.
-  void arrive_and_wait() {
-    const std::uint64_t gen = generation_.load(std::memory_order_acquire);
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == ranks_) {
-      arrived_.store(0, std::memory_order_relaxed);
-      generation_.fetch_add(1, std::memory_order_acq_rel);
-      generation_.notify_all();
-      return;
-    }
-    while (generation_.load(std::memory_order_acquire) == gen) {
-      generation_.wait(gen, std::memory_order_acquire);
-    }
-  }
+  // Arrive and block until all ranks of this round have arrived.  The last
+  // arriver bumps the generation and wakes the parked ranks.  An object is
+  // used either with these unchecked arrivals or with checked ones, never
+  // both.  Throws FenceAborted once the barrier has failed.
+  void arrive_and_wait() { round(/*checked=*/false); }
 
-  // Blame-stamped arrival (single round per object): record this rank's
-  // wall-clock arrival time and causal context, then barrier as above.  The
-  // last arriver folds the merged releaser/arrival summary before waking the
-  // parked ranks.  After this returns, the caller stamps its wake time with
-  // complete_rank — the same clock reads it charges to prof FenceWaitNs, so
-  // the two ledgers reconcile exactly by construction.
-  void arrive_and_wait(std::uint32_t rank, SimTime now,
-                       const scope::TraceCtx& ctx) {
+  // Checked arrival for `rank`: as above, and the last arriver compares every
+  // rank's Arrival.  On a mismatch the round fails as Diverged, with a
+  // message naming the op each shard fenced, and every rank throws.
+  void arrive_and_wait(std::uint32_t rank, const Arrival& a) {
     DCR_CHECK(rank < ranks_);
-    BlameSlot& slot = blame_[rank];
-    DCR_CHECK(slot.arrived_at == kTimeNever)
-        << "stamped fence collectives serve exactly one round";
-    slot.arrived_at = now;
-    slot.ctx = ctx;
-    const std::uint64_t gen = generation_.load(std::memory_order_acquire);
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == ranks_) {
-      finalize_blame(now);
-      arrived_.store(0, std::memory_order_relaxed);
-      generation_.fetch_add(1, std::memory_order_acq_rel);
-      generation_.notify_all();
-      return;
-    }
-    while (generation_.load(std::memory_order_acquire) == gen) {
-      generation_.wait(gen, std::memory_order_acquire);
-    }
+    slots_[rank].arrival = a;  // own slot; published by the arrival RMW
+    round(/*checked=*/true);
   }
 
-  // Stamp this rank's wake time (own-slot write; read after threads join).
-  void complete_rank(std::uint32_t rank, SimTime now) {
-    DCR_CHECK(rank < ranks_);
-    blame_[rank].completed_at = now;
-  }
+  // Fail the barrier from outside a round (a shard's control program threw):
+  // every parked rank wakes and throws, and so does every later arrival.
+  void poison(std::string why) { fail(Failure::Poisoned, std::move(why)); }
 
-  // ---- blame surface, mirroring sim::FenceCollective ----------------------
-  // Valid once the round completed and the participating threads joined (or
-  // otherwise synchronized with the caller).
-  std::size_t num_ranks() const { return ranks_; }
-  SimTime arrival_time(std::size_t r) const { return blame_[r].arrived_at; }
-  SimTime completion_time(std::size_t r) const { return blame_[r].completed_at; }
-  const scope::TraceCtx& releaser() const { return releaser_; }
-  std::uint32_t last_arrival_rank() const { return last_arrival_rank_; }
-  SimTime first_arrival() const { return first_arrival_; }
-  SimTime last_arrival() const { return last_arrival_; }
-  SimTime completed_at() const { return completed_at_; }
-  bool complete() const { return complete_.load(std::memory_order_acquire); }
+  // The first failure and its message; read after the ranks joined.
+  Failure failure() const {
+    std::lock_guard<std::mutex> lk(fail_mu_);
+    return failure_;
+  }
+  std::string failure_message() const {
+    std::lock_guard<std::mutex> lk(fail_mu_);
+    return failure_message_;
+  }
 
  private:
-  struct BlameSlot {
-    SimTime arrived_at = kTimeNever;
-    SimTime completed_at = kTimeNever;
-    scope::TraceCtx ctx;
+  struct alignas(kCacheLine) Slot {
+    Arrival arrival;
   };
 
-  // Last arriver only; every slot write happens-before via the arrived_ RMW
-  // chain.  Ties broken exactly like sim::FenceCollective: later time wins,
-  // equal times go to the larger rank.
-  void finalize_blame(SimTime now) {
-    for (std::uint32_t r = 0; r < ranks_; ++r) {
-      const BlameSlot& s = blame_[r];
-      if (s.arrived_at < first_arrival_) first_arrival_ = s.arrived_at;
-      if (last_arrival_rank_ == ~0u || s.arrived_at > last_arrival_ ||
-          (s.arrived_at == last_arrival_ && r > last_arrival_rank_)) {
-        last_arrival_ = s.arrived_at;
-        last_arrival_rank_ = r;
+  void round(bool checked) {
+    const std::uint64_t gen = generation_.load(std::memory_order_acquire);
+    if (failed_.load(std::memory_order_acquire)) throw FenceAborted();
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == ranks_) {
+      // Every slot write happens-before this point via the arrived_ RMW chain.
+      arrived_.store(0, std::memory_order_relaxed);
+      if (checked) {
+        std::string why = divergence();
+        if (!why.empty()) {
+          fail(Failure::Diverged, std::move(why));
+          throw FenceAborted();
+        }
       }
-      releaser_ = scope::latest(releaser_, s.ctx);
+      generation_.fetch_add(1, std::memory_order_acq_rel);
+      generation_.notify_all();
+      return;
     }
-    completed_at_ = now;
-    complete_.store(true, std::memory_order_release);
+    while (generation_.load(std::memory_order_acquire) == gen) {
+      generation_.wait(gen, std::memory_order_acquire);
+    }
+    if (failed_.load(std::memory_order_acquire)) throw FenceAborted();
+  }
+
+  // Last arriver only: "" when every rank agrees with rank 0.
+  std::string divergence() const {
+    const Arrival& ref = slots_[0].arrival;
+    std::string diff;
+    for (std::uint32_t r = 1; r < ranks_; ++r) {
+      const Arrival& a = slots_[r].arrival;
+      if (a == ref) continue;
+      diff += diff.empty() ? "" : ", ";
+      diff += "shard " + std::to_string(r) + " " + where(a.op);
+      if (a.op == ref.op) diff += " after a different call stream";
+    }
+    if (diff.empty()) return diff;
+    return "control determinism violation at a cross-shard fence: shard 0 " + where(ref.op) +
+           "; " + diff;
+  }
+
+  static std::string where(std::uint64_t op) {
+    return op == kProgramEnd ? "ended its program" : "fenced op " + std::to_string(op);
+  }
+
+  void fail(Failure kind, std::string why) {
+    {
+      std::lock_guard<std::mutex> lk(fail_mu_);
+      if (failure_ == Failure::None) {
+        failure_ = kind;
+        failure_message_ = std::move(why);
+      }
+      failed_.store(true, std::memory_order_release);
+    }
+    generation_.fetch_add(1, std::memory_order_acq_rel);
+    generation_.notify_all();
   }
 
   const std::uint32_t ranks_;
-  std::vector<BlameSlot> blame_;
-  scope::TraceCtx releaser_;
-  std::uint32_t last_arrival_rank_ = ~0u;
-  SimTime first_arrival_ = kTimeNever;
-  SimTime last_arrival_ = 0;
-  SimTime completed_at_ = kTimeNever;
-  std::atomic<bool> complete_{false};
+  std::vector<Slot> slots_;  // one per rank, written only by that rank
+  mutable std::mutex fail_mu_;
+  Failure failure_ = Failure::None;  // guarded by fail_mu_
+  std::string failure_message_;      // guarded by fail_mu_
+  std::atomic<bool> failed_{false};
   alignas(kCacheLine) std::atomic<std::uint32_t> arrived_{0};
   alignas(kCacheLine) std::atomic<std::uint64_t> generation_{0};
 };

@@ -43,9 +43,9 @@ class ThreadShardContext final : public core::ShardFront {
         state_(st) {}
 
   // Instead of the simulator's per-call collective check, each thread folds
-  // its §3 hash stream into a running 128-bit digest compared across shards
-  // at join — same detection guarantee, no cross-thread traffic on the hot
-  // path.
+  // its §3 hash stream into a running 128-bit digest that rides every fence
+  // arrival (FenceCollective) — the check travels with the synchronization
+  // the run does anyway, with no extra cross-thread traffic.
   void on_api_call(const char* name, const Hash128& h, SigBuilder& sig) override {
     if (rt_.checks_enabled()) {
       rt_.determinism_checks_.fetch_add(1, std::memory_order_relaxed);
@@ -204,15 +204,18 @@ ThreadRuntime::ThreadRuntime(core::FunctionRegistry& functions, ThreadConfig con
       config_(normalize_config(std::move(config))),
       profiler_(config_.num_shards, config_.profile),
       tracker_(/*keep_completed=*/config_.record_task_graph) {
-  slots_.emplace_back();  // sentinel: its `next` is op 0's slot
   shards_.reserve(config_.num_shards);
   for (std::size_t s = 0; s < config_.num_shards; ++s) {
     auto st = std::make_unique<ThreadShard>();
     st->id = ShardId(static_cast<std::uint32_t>(s));
     st->prover = std::make_unique<statics::InterferenceProver>(st->forest, projections_,
                                                                config_.statics_check);
+    // Shard 0's replica does the once-per-op accounting (dcr/coarse.hpp).
+    st->coarse = std::make_unique<core::CoarseAnalyzer>(
+        core::CoarseAnalyzer::Options{config_.disable_fence_elision, config_.static_analysis,
+                                      config_.statics_check},
+        s == 0 ? &profiler_.global() : nullptr, s == 0 ? &statics_ledger_ : nullptr);
     st->rng = std::make_unique<Philox4x32>(/*seed=*/0x5eed, /*stream=*/0);
-    st->cursor = &slots_.front();
     st->inbox.reserve(config_.num_shards);
     for (std::size_t p = 0; p < config_.num_shards; ++p) {
       st->inbox.push_back(p == s ? nullptr
@@ -250,8 +253,8 @@ ThreadRuntime::~ThreadRuntime() {
 
 bool ThreadRuntime::checks_enabled() const {
   // Matches the simulator's DeterminismChecker::enabled(): the per-call count
-  // is charged whenever checking is on, even single-shard (where the join
-  // comparison below is vacuous) — keeps DcrStats parity exact.
+  // is charged whenever checking is on, even single-shard (where the fence
+  // comparison is vacuous) — keeps DcrStats parity exact.
   return config_.determinism_checks;
 }
 
@@ -272,45 +275,6 @@ core::TemplateManager& ThreadRuntime::shard_templates(ShardId s) {
 
 const core::TraceIdentifier& ThreadRuntime::shard_auto_tracer(ShardId s) {
   return shard(s).auto_tracer;
-}
-
-// ----------------------------------------------------------- coarse stage
-
-const ThreadRuntime::OpSlot& ThreadRuntime::coarse_slot(ThreadShard& st,
-                                                        const OpRecord& op) {
-  OpSlot* slot = st.cursor->next.load(std::memory_order_acquire);
-  if (slot == nullptr) {
-    std::lock_guard<std::mutex> lk(analysis_mu_);
-    slot = st.cursor->next.load(std::memory_order_acquire);
-    if (slot == nullptr) {
-      // This shard is the publisher.  Its forest/prover stand in for the
-      // simulator's shared ones: every replica is at the same program point
-      // when its shard first reaches this op, so whichever shard decides sees
-      // identical region state (control determinism).
-      bool fresh = false;
-      const CoarseDecision& dec =
-          op.tmode == TemplateManager::Mode::Replay && op.trec != nullptr
-              ? coarse_.install_replayed(op, statics_ledger_, &fresh)
-              : coarse_.decide(op, st.forest, *st.prover, statics_ledger_,
-                               core::single_op_owner(op.id, num_shards()), &fresh);
-      DCR_CHECK(fresh) << "op " << op.id.value << " was decided but never published";
-      core::emit_coarse_decision(op, dec, coarse_stats_, trace_.get());
-      OpSlot& pub = slots_.emplace_back();
-      pub.op = op.id;
-      pub.dec = &dec;
-      if (!dec.fence_sources.empty()) {
-        pub.fence = std::make_unique<FenceCollective>(static_cast<std::uint32_t>(num_shards()));
-        profiler_.global().add(prof::GlobalCounter::FenceCollectives);
-        profiler_.global().add(prof::GlobalCounter::CollectiveRounds);
-      }
-      st.cursor->next.store(&pub, std::memory_order_release);
-      slot = &pub;
-    }
-  }
-  DCR_CHECK(slot->op == op.id) << "coarse slot for op " << slot->op.value
-                               << " read at op " << op.id.value;
-  st.cursor = slot;
-  return *slot;
 }
 
 // ------------------------------------------------------------- collectives
@@ -424,11 +388,16 @@ void ThreadRuntime::issue(ThreadShardContext& ctx, OpPayload payload) {
 }
 
 void ThreadRuntime::process_op(ThreadShard& st, const OpRecord& op) {
-  // ---- coarse stage: the op's published slot; the first shard to reach
-  //      the op decides it (fresh or replayed) for everyone ----
+  // ---- coarse stage: this shard's own replica decides the op, fresh or
+  //      rebuilt from its template; shard 0 does the once-per-op accounting ----
+  const bool accounts = st.id.value == 0;
   const SimTime c0 = clock_.now();
-  const OpSlot& slot = coarse_slot(st, op);
-  const CoarseDecision& dec = *slot.dec;
+  const CoarseDecision dec =
+      op.tmode == TemplateManager::Mode::Replay && op.trec != nullptr
+          ? st.coarse->install_replayed(op)
+          : st.coarse->decide(op, st.forest, *st.prover,
+                              core::single_op_owner(op.id, num_shards()));
+  if (accounts) core::emit_coarse_decision(op, dec, coarse_stats_, trace_.get());
   core::record_template_decision(st.templates, op, dec);
 
   const std::uint64_t prof_iter =
@@ -442,26 +411,21 @@ void ThreadRuntime::process_op(ThreadShard& st, const OpRecord& op) {
                   prof::Lane::Analysis, st.id.value, c0, c1, op.id.value, prof_iter});
 
   // ---- fence gating: every shard processes every op, so every shard
-  //      arrives; identical decision streams make the barrier order safe ----
+  //      arrives, in the same order; the arrival carries the §3 check ----
   if (!dec.fence_sources.empty()) {
+    if (accounts) {
+      profiler_.global().add(prof::GlobalCounter::FenceCollectives);
+      profiler_.global().add(prof::GlobalCounter::CollectiveRounds);
+    }
     pc.add(prof::Counter::FenceWaits);
-    FenceCollective* coll = slot.fence.get();
     const SimTime w0 = clock_.now();
-    if (scope_) {
-      // Blame stamping: the SAME w0/w1 clock reads feed both the prof
-      // FenceWaitNs charge below and the collective's per-rank blame slots,
-      // so the two ledgers reconcile exactly by construction.
-      const dcr::scope::TraceCtx ctx =
-          scope_->fence_arrival(op.id.value, st.id.value, prof_iter, w0);
-      coll->arrive_and_wait(st.id.value, w0, ctx);
-    } else {
-      coll->arrive_and_wait();
-    }
+    // Blame: the SAME w0/w1 clock reads feed both the prof FenceWaitNs charge
+    // below and this shard's scope fence record, so the two ledgers reconcile
+    // exactly by construction.
+    if (scope_) scope_->fence_arrival(op.id.value, st.id.value, prof_iter, w0);
+    fence_.arrive_and_wait(st.id.value, {op.id.value, st.call_fold});
     const SimTime w1 = clock_.now();
-    if (scope_) {
-      coll->complete_rank(st.id.value, w1);
-      scope_->on_fence_wait(st.id.value, op.id.value, w0, w1);
-    }
+    if (scope_) scope_->on_fence_wait(st.id.value, op.id.value, w0, w1);
     pc.add(prof::Counter::FenceWaitNs, w1 - w0);
     pc.observe(prof::Hist::FenceWaitNs, w1 - w0);
     profiler_.emit({prof::SpanKind::FenceWait, prof::Lane::Fence, st.id.value, w0, w1,
@@ -753,6 +717,7 @@ void ThreadRuntime::busy_spin(SimTime wall_ns) {
 // ----------------------------------------------------------------- execute
 
 void ThreadRuntime::shard_main(ThreadShard& st, const core::ApplicationMain& main) {
+  const std::string who = "shard " + std::to_string(st.id.value) + ": ";
   try {
     ThreadShardContext ctx(*this, st);
     main(ctx);
@@ -760,12 +725,18 @@ void ThreadRuntime::shard_main(ThreadShard& st, const core::ApplicationMain& mai
     // before the final barrier.
     ctx.stop_auto_trace();
     // Final barrier so the call/op streams match the simulator's
-    // finalize_shard, and every shard's work is done before join.
+    // finalize_shard and every shard's work is done before join.
     ctx.execution_fence();
+    // One last round, outside the op stream: a shard that fenced more times
+    // than this one fails here instead of parking, and the §3 check covers
+    // every call (exec/collective.hpp).
+    fence_.arrive_and_wait(st.id.value, {FenceCollective::kProgramEnd, st.call_fold});
+  } catch (const FenceAborted&) {
+    // Another shard failed first; its cause is recorded in the fence.
   } catch (const std::exception& e) {
-    st.error = e.what();
+    fence_.poison(who + e.what());
   } catch (...) {
-    st.error = "unknown exception in shard control program";
+    fence_.poison(who + "unknown exception in shard control program");
   }
 }
 
@@ -783,12 +754,23 @@ core::DcrStats ThreadRuntime::execute(const core::ApplicationMain& main) {
 
   core::DcrStats stats;
   stats.makespan = clock_.now() - started;  // real wall-clock nanoseconds
-  stats.completed = true;
-  for (const auto& st : shards_) {
-    if (!st->error.empty()) {
-      stats.completed = false;
-      stats.aborted = true;
-      if (stats.abort_message.empty()) stats.abort_message = st->error;
+  const FenceCollective::Failure failure = fence_.failure();
+  stats.completed = failure == FenceCollective::Failure::None;
+  if (!stats.completed) {
+    stats.aborted = true;
+    stats.abort_message = fence_.failure_message();
+  }
+  if (failure == FenceCollective::Failure::Diverged) {
+    stats.determinism_violation = true;
+    stats.violation_message = stats.abort_message;
+    if (trace_) {
+      // With a spy trace on hand, upgrade to the linter's argument-level
+      // report: which call diverged and which argument differed.
+      const spy::LintResult lint = spy::lint_control_determinism(*trace_);
+      if (lint.divergent) {
+        stats.violation_message = lint.message;
+        stats.abort_message = lint.message;
+      }
     }
   }
 
@@ -802,29 +784,6 @@ core::DcrStats ThreadRuntime::execute(const core::ApplicationMain& main) {
   stats.determinism_checks = determinism_checks_.load(std::memory_order_relaxed);
   stats.traced_ops = traced_ops_.load(std::memory_order_relaxed);
 
-  // Join-time control-determinism verification: the per-shard folded call
-  // digests must agree (paper §3; the simulator checks per call instead).
-  if (checks_enabled()) {
-    for (std::size_t s = 1; s < shards_.size(); ++s) {
-      if (shards_[s]->api_calls != shards_[0]->api_calls ||
-          !(shards_[s]->call_fold == shards_[0]->call_fold)) {
-        stats.determinism_violation = true;
-        stats.violation_message = "control determinism violation: shard " +
-                                  std::to_string(s) +
-                                  " call stream diverged from shard 0";
-        break;
-      }
-    }
-    if (trace_ && stats.determinism_violation) {
-      // With a spy trace on hand, upgrade to the linter's argument-level
-      // report: which call diverged and which argument differed.
-      const spy::LintResult lint = spy::lint_control_determinism(*trace_);
-      if (lint.divergent) stats.violation_message = lint.message;
-    }
-    if (stats.determinism_violation) stats.completed = false;
-  }
-
-  std::uint64_t cache_hits = 0;
   for (const auto& st : shards_) {
     core::fold_shard_counters(*st, profiler_, stats);
     for (const auto& [fn, fp] : st->profile) {
@@ -832,21 +791,16 @@ core::DcrStats ThreadRuntime::execute(const core::ApplicationMain& main) {
       merged.tasks += fp.tasks;
       merged.total_time += fp.total_time;
     }
-    cache_hits += st->prover->stats().cache_hits;
   }
-  // Statics cache hits come from the per-shard prover replicas (their sum
-  // depends on which shard analyzed first, unlike the simulator's single
-  // prover — excluded from differential parity for that reason).
-  core::fold_run_counters(cache_hits, profiler_, stats);
+  // Statics cache hits: every replica proves every fresh op, so shard 0's
+  // prover alone answers the same queries as the simulator's single prover.
+  core::fold_run_counters(shards_[0]->prover->stats().cache_hits, profiler_, stats);
 
-  // dcr-scope: the shards have quiesced (joined), so harvest every fence's
-  // per-rank wall-clock timestamps + merged releaser into the blame ledger,
-  // in dependent-op order (slots_ is in op order) — same drain point as the
-  // simulator backend's end of execute.
+  // dcr-scope: the shards have quiesced (joined), so fold their fence
+  // records into the blame ledger, one record per fence in op order — same
+  // drain point as the simulator backend's end of execute.
   if (scope_) {
-    for (const OpSlot& s : slots_) {
-      if (s.fence) scope_->harvest_fence(s.op.value, *s.fence);
-    }
+    scope_->harvest_shard_fences();
     scope_->set_run_info(stats.makespan, /*recovery_epochs=*/0);
   }
 

@@ -13,28 +13,39 @@
 //    whole coarse dependence stage (dcr/coarse.hpp), and the control-plane
 //    front end (dcr/shard_front.hpp: the hash-and-issue API calls, trace
 //    windows and the auto-trace tap, template capture/validate/replay) are
-//    the *same code* on both backends.  The simulator calls the shared
-//    CoarseAnalyzer from its event loop; on threads the first shard to reach
-//    an op calls it (under analysis_mu_) and publishes the decision into a
-//    per-op slot that every other shard reads without a lock (see OpSlot);
+//    the *same code* on both backends.  The simulator runs one logical
+//    CoarseAnalyzer from its event loop; on threads every shard runs its own
+//    replica, as in the paper (§4.1), so no shard ever waits for another's
+//    analysis;
 //  * per-shard state that the simulator replicates logically (region forest,
-//    sharding memoization, template store, RNG) is replicated physically —
-//    one instance per thread, no sharing, no locks;
+//    sharding memoization, coarse analyzer, statics prover, template store,
+//    RNG) is replicated physically — one instance per thread, no sharing, no
+//    locks.  Shard 0's analyzer alone does the once-per-op accounting (prof
+//    global fence/elision/statics counters, the statics ledger, the coarse
+//    DcrStats mirrors and the spy op/coarse-dep records);
 //  * cross-shard coordination uses wall-clock primitives with the same
-//    semantics as the simulated collectives: FenceCollective (sense-
-//    reversing barrier) for pipeline fences, ValueCollective (MPMC fan-in,
-//    rank-ordered combine) for future all-reduce, and bounded lock-free
-//    SPSC mailboxes for broadcast future-value delivery.
+//    semantics as the simulated collectives: one FenceCollective (sense-
+//    reversing barrier) for every pipeline fence of the run, ValueCollective
+//    (MPMC fan-in, rank-ordered combine) for future all-reduce, and bounded
+//    lock-free SPSC mailboxes for broadcast future-value delivery.
+//
+// Fail-stop: every fence arrival carries the op it fences and the shard's
+// running §3 call fold, and the last arriver compares them, so a diverged
+// shard is caught at its next fence (at the latest, at the program-end
+// arrival every shard makes after its final fence) and the run aborts with a
+// determinism violation naming the op and the shards.  A shard whose control
+// program throws poisons the barrier, so the other shards unwind and the run
+// aborts with that cause.
 //
 // tests/test_exec.cpp enforces the property by running every fuzz program
 // through both backends and diffing with spy::graph_equivalent.
 //
 // dcr-scope on threads (ThreadConfig::scope): the full causal-tracing stack
-// runs on wall-clock time — TraceCtx rides the SPSC mailbox payloads, the
-// exec collectives stamp per-rank arrival/completion blame timestamps, and
-// the thread-safe Recorder ledgers (per-shard single-writer appends, merged
-// at join) reconcile exactly against prof FenceWaitNs because the *same two
-// clock reads* feed both ledgers.  A bounded per-shard flight-recorder ring
+// runs on wall-clock time — TraceCtx rides the SPSC mailbox payloads, each
+// shard writes its fence arrival/wake instants and arrival context into its
+// own single-writer Recorder ledger, and the join folds them into per-fence
+// blame records that reconcile exactly against prof FenceWaitNs because the
+// *same two clock reads* feed both ledgers.  A bounded per-shard flight-recorder ring
 // (scope/flight.hpp) is dumped on determinism-violation aborts for
 // post-mortem triage without a re-run.
 //
@@ -47,7 +58,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -122,8 +132,9 @@ struct ThreadConfig {
 
   // dcr-scope causal tracing (scope/recorder.hpp): thread-safe per-shard
   // ledgers on wall-clock time.  TraceCtx rides the mailbox payloads and the
-  // collective arrivals; blame reports reconcile exactly against prof
-  // FenceWaitNs (the same clock reads feed both).
+  // value-collective arrivals, and each shard records its own fence arrivals;
+  // blame reports reconcile exactly against prof FenceWaitNs (the same clock
+  // reads feed both).
   bool scope = false;
   // Crash flight recorder (scope/flight.hpp): ring of the most recent scope
   // events per shard, dumped to flight_path as Perfetto-loadable JSON when a
@@ -146,7 +157,9 @@ class ThreadRuntime {
   ThreadRuntime& operator=(const ThreadRuntime&) = delete;
 
   // Runs `main` replicated across num_shards OS threads; returns once every
-  // thread joins.  DcrStats::makespan is wall-clock nanoseconds; the
+  // thread joins.  A control divergence caught at a fence sets
+  // determinism_violation and aborted; a shard exception sets aborted with
+  // that shard's message.  DcrStats::makespan is wall-clock nanoseconds; the
   // simulator-only fields (bytes_moved, messages, analysis_busy,
   // compute_busy, fault/SDC counters) are 0.
   core::DcrStats execute(const core::ApplicationMain& main);
@@ -207,22 +220,6 @@ class ThreadRuntime {
     dcr::scope::TraceCtx ctx;  // context the value was delivered with
   };
 
-  // One op's coarse-stage outcome, published once for every shard.  The
-  // first shard to reach op k (the publisher) takes analysis_mu_, decides
-  // the op, creates its fence collective if it has fence sources, appends
-  // the slot, and release-stores it into op k-1's `next`.  Every other shard
-  // acquire-loads `next` from its own cursor (the slot of the op it processed
-  // last) and reads the slot with no lock and no copy; it takes the mutex
-  // only when `next` is still null.  `dec` points into CoarseAnalyzer's
-  // decision map, whose nodes never move and are never mutated after insert,
-  // so the pointer stays valid for the runtime's lifetime.
-  struct OpSlot {
-    OpId op;
-    const core::CoarseDecision* dec = nullptr;
-    std::unique_ptr<FenceCollective> fence;  // non-null iff dec->fence_sources
-    std::atomic<OpSlot*> next{nullptr};
-  };
-
   // State owned by exactly one shard thread — the physical replica of what
   // the simulator backend replicates logically.  The control-plane part
   // (cursors, RNG, templates, trace windows) is core::FrontState, shared
@@ -231,7 +228,8 @@ class ThreadRuntime {
     rt::RegionForest forest;
     core::ShardingRegistry shardings;
     std::unique_ptr<statics::InterferenceProver> prover;  // over this forest
-    Hash128 call_fold{};  // running fold of §3 call hashes, compared at join
+    std::unique_ptr<core::CoarseAnalyzer> coarse;         // this shard's replica
+    Hash128 call_fold{};  // running fold of §3 call hashes, carried on fence arrivals
     std::map<std::uint64_t, CachedFuture> future_cache;  // delivered broadcast values
     std::map<std::uint64_t, FmPartial> fm_partials; // own partials per future map
     std::map<FunctionId, FunctionProfile> profile;  // merged into profile_ at join
@@ -241,8 +239,6 @@ class ThreadRuntime {
     std::mutex overflow_mu;
     std::vector<FutureMsg> overflow;
     alignas(kCacheLine) std::atomic<std::uint64_t> doorbell{0};
-    std::string error;  // first failure on this thread, surfaced at join
-    OpSlot* cursor = nullptr;  // slot of the last op this shard processed
   };
 
   struct FutureEntry {
@@ -252,12 +248,6 @@ class ThreadRuntime {
   };
 
   ThreadShard& shard(ShardId s) { return *shards_[s.value]; }
-
-  // Coarse-stage front door: the published slot for `op` (see OpSlot),
-  // advancing the shard's cursor.  The publisher runs CoarseAnalyzer::decide,
-  // or install_replayed for a replayed op, and mirrors stats and spy records
-  // exactly once, in program order.
-  const OpSlot& coarse_slot(ThreadShard& st, const core::OpRecord& op);
 
   void ensure_future(std::uint64_t id, OpId producer);
   void ensure_reduce_future(std::uint64_t id, core::ReduceOp rop);
@@ -285,26 +275,17 @@ class ThreadRuntime {
   prof::Profiler profiler_;
   WallClock clock_;
   rt::ProjectionRegistry projections_;
-  statics::LaunchLedger statics_ledger_;
+  statics::LaunchLedger statics_ledger_;  // written by shard 0's analyzer only
   core::UserTracker tracker_;
-  core::CoarseAnalyzer coarse_{
-      core::CoarseAnalyzer::Options{config_.disable_fence_elision, config_.static_analysis,
-                                    config_.statics_check},
-      profiler_};
   ConcurrencyGate gate_{config_.compute_slots};
+  // Every pipeline fence of the run, in the order every shard passes them.
+  FenceCollective fence_{static_cast<std::uint32_t>(config_.num_shards)};
 
   std::vector<std::unique_ptr<ThreadShard>> shards_;
 
-  // analysis_mu_ is held only by an op's publisher (coarse_slot).  It guards
-  // the shared analyzer, the statics ledger, the coarse DcrStats mirrors
-  // (coarse_deps, fences_elided, fences_inserted), spy op/coarse-dep emission
-  // (program-order streams), and appends to slots_.  Readers of a published
-  // slot never take it.
-  std::mutex analysis_mu_;
+  // Coarse DcrStats mirrors (coarse_deps, fences_elided, fences_inserted);
+  // written by shard 0 only, read at join.
   core::DcrStats coarse_stats_;
-  // Every op's slot in op order after a sentinel (the shards' first cursor);
-  // a deque so appends never move a published slot.
-  std::deque<OpSlot> slots_;
 
   // graph_mu_ guards the user tracker, realized graph/tasks, spy task/edge
   // records, and the per-function profile.

@@ -6,18 +6,21 @@
 //   - on_fine_stage   when a shard finishes a fine-analysis stage (fresh or
 //                     template replay) — this becomes the shard's *current
 //                     span*, the causal parent of everything it does next;
-//   - fence_arrival   when a shard's control thread reaches a fence — returns
-//                     the context stamped onto the collective arrival;
-//   - on_fence_wait   when a shard's fence wait resolves (flight-recorder
-//                     feed; the ledger itself is built by harvest_fence);
+//   - fence_arrival   when a shard's control thread reaches a fence — records
+//                     the arrival (op, iteration, time, causal context) in the
+//                     shard's ledger and returns that context;
+//   - on_fence_wait   when a shard's fence wait resolves — records the wake
+//                     time beside the arrival and feeds the flight recorder;
 //   - on_future_wait  when a blocking future wait resolves, with the merged
 //                     context of the contribution that released it;
 //   - on_task_launch  when a point task is launched;
 //   - on_message      from the network send tap (sim) or the mailbox publish
 //                     path (threads), once per logical message carrying a
 //                     valid context;
-//   - harvest_fence   at end of run, copying each FenceCollective's per-rank
-//                     arrival/completion timestamps and merged releaser.
+//   - harvest_fence   at end of a simulator run, copying each simulated
+//                     FenceCollective's per-rank timestamps and merged releaser;
+//   - harvest_shard_fences  at the join of a threads run, building the same
+//                     records from the per-shard fence arrivals instead.
 //
 // Thread-safety model (DESIGN.md §17): every hot-path hook writes only the
 // calling shard's *single-writer* append ledger — no locks, no shared
@@ -37,6 +40,7 @@
 // reconcile the two ledgers exactly.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -47,6 +51,7 @@
 #include "common/types.hpp"
 #include "scope/context.hpp"
 #include "scope/flight.hpp"
+#include "sim/collective.hpp"
 
 namespace dcr::scope {
 
@@ -71,6 +76,16 @@ struct FenceShard {
   SimTime wait() const {
     return completed() && arrived() ? completed_at - arrived_at : 0;
   }
+};
+
+// One shard's side of one fence: the arrival and wake instants are the same
+// two clock reads prof charges to FenceWaitNs.
+struct FenceArrival {
+  std::uint64_t op = 0;          // dependent OpId the fence protects
+  std::uint64_t iter = kNoIter;
+  SimTime arrived_at = kTimeNever;
+  SimTime completed_at = kTimeNever;
+  TraceCtx ctx;                  // the shard's causal context at arrival
 };
 
 // The blame ledger entry for one non-elided fence.
@@ -184,30 +199,32 @@ class Recorder {
 
   // ---- fences ------------------------------------------------------------
   // Called when a shard's control thread reaches the fence for `fence_op`;
-  // notes the iteration and returns the context to stamp onto the arrival.
+  // records the arrival in the shard's ledger and returns the context to
+  // stamp onto it.
   TraceCtx fence_arrival(std::uint64_t fence_op, std::uint32_t shard,
                          std::uint64_t iter, SimTime now) {
-    ledger(shard).fence_iters.emplace_back(fence_op, iter);
-    return current_ctx(shard, now);
+    const TraceCtx ctx = current_ctx(shard, now);
+    ledger(shard).fences.push_back(FenceArrival{fence_op, iter, now, kTimeNever, ctx});
+    return ctx;
   }
 
   // A shard's fence wait resolved: [started, ended) is exactly the interval
-  // prof charged to FenceWaitNs.  Feeds the flight recorder only — the blame
-  // ledger itself is rebuilt from the collective at harvest_fence.
+  // prof charged to FenceWaitNs.  Stamps the wake time onto the shard's
+  // latest arrival (a shard waits out each fence before it reaches the next)
+  // and feeds the flight recorder.
   void on_fence_wait(std::uint32_t shard, std::uint64_t fence_op,
                      SimTime started, SimTime ended) {
+    std::vector<FenceArrival>& fences = ledger(shard).fences;
+    if (!fences.empty() && fences.back().op == fence_op) fences.back().completed_at = ended;
     if (flight_ != nullptr) {
       flight_->record(shard, FlightEvent{FlightEvent::Kind::FenceWait, shard,
                                          fence_op, /*aux=*/0, started, ended});
     }
   }
 
-  // End-of-run (quiesced): copy the collective's per-rank timestamps + merged
-  // releaser.  Templated so both sim::FenceCollective (virtual time) and
-  // exec::FenceCollective (wall clock) harvest through the same code — the
-  // two expose the same blame surface.
-  template <typename Collective>
-  void harvest_fence(std::uint64_t fence_op, const Collective& coll) {
+  // End of a simulator run: copy the collective's per-rank timestamps +
+  // merged releaser.
+  void harvest_fence(std::uint64_t fence_op, const sim::FenceCollective& coll) {
     FenceRec rec;
     rec.op = fence_op;
     rec.iter = lookup_fence_iter(fence_op);
@@ -226,7 +243,52 @@ class Recorder {
     fences_count_.store(fences_.size(), std::memory_order_relaxed);
   }
 
+  // Join of a threads run (quiesced): every shard passed the same fences in
+  // the same order through one barrier, so round i is the i-th arrival in
+  // every shard's ledger.  Builds one FenceRec per round, in round order,
+  // exactly as the simulated collective folds its blame: the releaser is the
+  // latest-merge of the arrival contexts in rank order, and the last arriver
+  // is the latest arrival, ties going to the larger rank.  A run that aborted
+  // on a divergence stops at the first round whose shards fenced different
+  // ops.
+  void harvest_shard_fences() {
+    std::size_t rounds = shards_.empty() ? 0 : shards_[0]->fences.size();
+    for (const auto& led : shards_) rounds = std::min(rounds, led->fences.size());
+    for (std::size_t i = 0; i < rounds; ++i) {
+      FenceRec rec;
+      rec.op = shards_[0]->fences[i].op;
+      if (!std::all_of(shards_.begin(), shards_.end(),
+                       [&](const auto& led) { return led->fences[i].op == rec.op; })) {
+        break;
+      }
+      rec.shards.resize(shards_.size());
+      rec.complete = true;
+      for (std::uint32_t r = 0; r < shards_.size(); ++r) {
+        const FenceArrival& a = shards_[r]->fences[i];
+        rec.shards[r] = FenceShard{a.arrived_at, a.completed_at};
+        rec.complete = rec.complete && rec.shards[r].completed();
+        if (rec.iter == kNoIter) rec.iter = a.iter;
+        if (a.arrived_at < rec.first_arrival) rec.first_arrival = a.arrived_at;
+        if (rec.last_shard == kNoShard || a.arrived_at > rec.last_arrival ||
+            (a.arrived_at == rec.last_arrival && r > rec.last_shard)) {
+          rec.last_arrival = a.arrived_at;
+          rec.last_shard = r;
+        }
+        rec.releaser = latest(rec.releaser, a.ctx);
+      }
+      // The round released when its last rank arrived.
+      rec.completed_at = rec.last_arrival;
+      fences_.push_back(std::move(rec));
+    }
+    fences_count_.store(fences_.size(), std::memory_order_relaxed);
+  }
+
   const std::vector<FenceRec>& fences() const { return fences_; }
+
+  // One shard's fence arrivals in the order it passed them (quiesced only).
+  const std::vector<FenceArrival>& shard_fences(std::uint32_t shard) const {
+    return ledger(shard).fences;
+  }
 
   // ---- futures -----------------------------------------------------------
   void on_future_wait(std::uint32_t shard, std::uint64_t future,
@@ -349,7 +411,7 @@ class Recorder {
     std::vector<SpanRec> spans;
     std::vector<FutureRec> future_waits;
     std::vector<LaunchRec> launches;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> fence_iters;
+    std::vector<FenceArrival> fences;
     std::uint64_t current = kNoSpan;  // current span (owner thread only)
     alignas(64) std::atomic<std::uint64_t> messages{0};  // own cache line
     std::atomic<std::uint64_t> bytes{0};
@@ -371,10 +433,10 @@ class Recorder {
     std::uint64_t iter = kNoIter;
     bool seen = false;
     for (const auto& led : shards_) {
-      for (const auto& [op, it] : led->fence_iters) {
-        if (op != fence_op) continue;
+      for (const FenceArrival& f : led->fences) {
+        if (f.op != fence_op) continue;
         seen = true;
-        if (it != kNoIter && iter == kNoIter) iter = it;
+        if (f.iter != kNoIter && iter == kNoIter) iter = f.iter;
       }
     }
     return seen ? iter : kNoIter;

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -369,10 +370,9 @@ BackendRun run_threads(const ApplicationMain& app, FunctionRegistry& functions,
 }
 
 // The load-bearing assertion: both backends produced the same observable
-// execution.  `volatile` quantities — wall/virtual makespans, busy times,
-// bytes_moved/messages (no physical model on threads), and statics cache
-// hits (per-shard prover replicas vs the simulator's single prover) — are
-// deliberately excluded.
+// execution.  `volatile` quantities — wall/virtual makespans, busy times and
+// bytes_moved/messages (no physical model on threads) — are deliberately
+// excluded.
 void expect_equivalent(const BackendRun& sim_run, const BackendRun& thr_run,
                        const char* what) {
   ASSERT_TRUE(sim_run.stats.completed) << what << ": simulator run failed";
@@ -420,6 +420,7 @@ void expect_equivalent(const BackendRun& sim_run, const BackendRun& thr_run,
   EXPECT_EQ(a.statics_resolved_ops, b.statics_resolved_ops) << what;
   EXPECT_EQ(a.statics_unresolved_ops, b.statics_unresolved_ops) << what;
   EXPECT_EQ(a.statics_skipped_points, b.statics_skipped_points) << what;
+  EXPECT_EQ(a.statics_cache_hits, b.statics_cache_hits) << what;
 
   // Non-volatile prof counters, per shard and global.
   ASSERT_EQ(sim_run.counters.size(), thr_run.counters.size()) << what;
@@ -611,16 +612,15 @@ TEST(ExecParity, EveryApiCallAgreesAcrossBackends) {
   }
 }
 
-// ------------------------------------------------ coarse publication path
+// ------------------------------------------------ coarse replicas
 
-// Each op's coarse decision and fence collective are published once, by the
-// first shard to reach the op, and every other shard reads them without a
-// lock (ThreadRuntime::OpSlot).  Eight shard threads on a smaller host get
-// preempted inside the publish window, and the two programs between them
-// mix captured, validated, replayed and fresh ops with blocking futures.
-// The runs must match the simulator on stats, prof counters and the
-// collective globals, and the scope ledger must hold one fence record per
-// fenced op, in ascending op order.
+// Every shard decides every op on its own CoarseAnalyzer replica, shard 0
+// alone does the once-per-op accounting, and every fence goes through one
+// run-wide barrier.  Eight shard threads on a smaller host run far apart,
+// and the two programs between them mix captured, validated, replayed and
+// fresh ops with blocking futures.  The runs must match the simulator on
+// stats, prof counters and the collective globals, and the scope ledger
+// must hold one fence record per fenced op, in ascending op order.
 TEST(ExecPublication, EightShardsMatchSimulatorAndHarvestFencesInOpOrder) {
   core::TraceIdConfig auto_trace;
   auto_trace.enabled = true;
@@ -676,6 +676,228 @@ TEST(ExecPublication, EightShardsMatchSimulatorAndHarvestFencesInOpOrder) {
       if (::testing::Test::HasFailure()) FAIL() << what;
     }
   }
+}
+
+// Replica agreement: with scope on, each shard's own fence records list
+// exactly the simulator's fenced ops (the shards' replicas agreed on every
+// fence), and the FenceRecs harvested from those records reconcile exactly,
+// per shard, with prof FenceWaitNs.  Eight shards over the ExecLoopFuzz
+// programs and the phase-changing auto-traced stencil.
+void expect_replicas_agree(const ApplicationMain& app, FunctionRegistry& functions,
+                           const DiffOptions& sim_opt, const std::string& what) {
+  constexpr std::size_t kShards = 8;
+  const BackendRun sim_run = run_sim(app, functions, kShards, sim_opt);
+  ASSERT_TRUE(sim_run.stats.completed) << what;
+  std::vector<std::uint64_t> fenced_ops;
+  for (const spy::OpRecord& op : sim_run.trace.ops) {
+    if (!op.fence_sources.empty()) fenced_ops.push_back(op.id.value);
+  }
+
+  ThreadConfig cfg;
+  cfg.num_shards = kShards;
+  cfg.scope = true;
+  cfg.statics_check = sim_opt.statics_check;
+  cfg.auto_trace = sim_opt.auto_trace;
+  ThreadRuntime rt(functions, cfg);
+  const DcrStats stats = rt.execute(app);
+  ASSERT_TRUE(stats.completed) << what << ": " << stats.abort_message;
+  ASSERT_NE(rt.scope(), nullptr);
+  const dcr::scope::Recorder& rec = *rt.scope();
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    std::vector<std::uint64_t> shard_ops;
+    for (const dcr::scope::FenceArrival& f : rec.shard_fences(s)) shard_ops.push_back(f.op);
+    EXPECT_EQ(shard_ops, fenced_ops) << what << ": shard " << s;
+  }
+  ASSERT_EQ(rec.fences().size(), fenced_ops.size()) << what;
+  std::vector<SimTime> waited(kShards, 0);
+  for (std::size_t i = 0; i < rec.fences().size(); ++i) {
+    const dcr::scope::FenceRec& f = rec.fences()[i];
+    EXPECT_EQ(f.op, fenced_ops[i]) << what;
+    EXPECT_TRUE(f.complete) << what << ": fence for op " << f.op;
+    ASSERT_EQ(f.shards.size(), kShards) << what;
+    for (std::size_t s = 0; s < kShards; ++s) waited[s] += f.shards[s].wait();
+  }
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(waited[s], rt.profiler().shard(s).get(prof::Counter::FenceWaitNs))
+        << what << ": shard " << s;
+  }
+}
+
+TEST(ExecReplicas, ShardFenceLedgersMatchSimulatorAndReconcile) {
+  for (std::uint64_t seed = 0; seed < 25; ++seed) {
+    Philox4x32 rng(fuzz::seed_for_label("exec-loop", seed), /*stream=*/13);
+    const fuzz::LoopDcrProgram program = fuzz::generate_loop(rng, /*tiles=*/6);
+    FunctionRegistry functions;
+    const FunctionId fn = functions.register_simple("t", us(1), 1.0);
+    DiffOptions opt;
+    opt.statics_check = true;
+    expect_replicas_agree(fuzz::materialize_loop(program, fn, /*use_trace=*/true), functions,
+                          opt, "loop seed " + std::to_string(seed));
+    if (::testing::Test::HasFailure()) return;
+  }
+  DiffOptions opt;
+  opt.auto_trace.enabled = true;
+  opt.auto_trace.min_period = 2;
+  opt.auto_trace.probe = 6;
+  opt.auto_trace.promote_periods = 1;
+  FunctionRegistry functions;
+  const apps::StencilConfig phase{.cells_per_tile = 32, .tiles = 16, .steps = 48,
+                                  .phase_every = 6};
+  expect_replicas_agree(
+      apps::make_stencil_app(phase, apps::register_stencil_functions(functions, 1.0)),
+      functions, opt, "phase stencil");
+}
+
+// ------------------------------------------------------------- fail-stop
+
+// A control divergence or a shard exception must end the run, bounded, with
+// a classified outcome.  Each replica decides its own ops, so a diverged
+// shard fences differently; the fence-carried §3 check (op id + call fold on
+// every arrival) catches it, and a throwing shard poisons the barrier.  A
+// futures-free stencil-shaped loop: each iteration writes its own pieces and
+// reads its neighbours' halos, so every iteration fences.  These tests run
+// as their own ctest entries with a TIMEOUT, so a regression fails instead of
+// hanging.
+enum class Fault { Privilege, ExtraLaunch, TrailingLaunch, Throw };
+
+ApplicationMain faulty_stencil(FunctionId fn, Fault fault) {
+  return [fn, fault](core::Context& ctx) {
+    const FieldSpaceId fs = ctx.create_field_space();
+    const FieldId f = ctx.allocate_field(fs, 8, "x");
+    const RegionTreeId tree = ctx.create_region(rt::Rect::r1(0, 63), fs);
+    const IndexSpaceId root = ctx.root(tree);
+    const PartitionId pieces = ctx.partition_equal(root, 8);
+    const PartitionId halos = ctx.partition_with_halo(root, 8, 1);
+    ctx.fill(root, {f});
+    core::IndexLaunch write;
+    write.fn = fn;
+    write.domain = rt::Rect::r1(0, 7);
+    write.requirements.push_back(
+        rt::GroupRequirement::on_partition(pieces, {f}, rt::Privilege::ReadWrite));
+    core::IndexLaunch read = write;
+    read.requirements[0] =
+        rt::GroupRequirement::on_partition(halos, {f}, rt::Privilege::ReadOnly);
+    for (int iter = 0; iter < 10; ++iter) {
+      const bool here = iter == 5 && ctx.shard_id().value == 1;
+      if (here && fault == Fault::Throw) throw std::runtime_error("injected failure");
+      core::IndexLaunch w = write;
+      if (here && fault == Fault::Privilege) {
+        w.requirements[0].privilege = rt::Privilege::ReadOnly;
+      }
+      ctx.index_launch(w);
+      if (here && fault == Fault::ExtraLaunch) ctx.index_launch(w);
+      ctx.index_launch(read);
+    }
+    if (fault == Fault::TrailingLaunch && ctx.shard_id().value == 1) ctx.index_launch(write);
+  };
+}
+
+DcrStats run_faulty(Fault fault, bool record_trace = false, bool checks = true) {
+  FunctionRegistry functions;
+  const FunctionId fn = functions.register_simple("t", us(1), 1.0);
+  ThreadConfig cfg;
+  cfg.num_shards = 4;
+  cfg.record_trace = record_trace;
+  cfg.determinism_checks = checks;
+  ThreadRuntime rt(functions, cfg);
+  return rt.execute(faulty_stencil(fn, fault));
+}
+
+void expect_violation(const DcrStats& stats) {
+  EXPECT_FALSE(stats.completed);
+  EXPECT_TRUE(stats.aborted);
+  EXPECT_TRUE(stats.determinism_violation) << stats.abort_message;
+  EXPECT_NE(stats.violation_message.find("determinism"), std::string::npos)
+      << stats.violation_message;
+}
+
+// The barrier itself: one rank fencing a different op fails the round on
+// every rank, and a poisoned barrier wakes a parked rank.
+TEST(ExecFailStop, MismatchedArrivalFailsEveryRank) {
+  constexpr std::uint32_t kRanks = 3;
+  FenceCollective fence(kRanks);
+  std::atomic<int> aborted{0};
+  std::vector<std::thread> threads;
+  for (std::uint32_t r = 0; r < kRanks; ++r) {
+    threads.emplace_back([&, r] {
+      try {
+        fence.arrive_and_wait(r, {/*op=*/4, {}});  // a clean round first
+        fence.arrive_and_wait(r, {/*op=*/r == 2 ? 6u : 5u, {}});
+      } catch (const FenceAborted&) {
+        aborted.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(aborted.load(), static_cast<int>(kRanks));
+  EXPECT_EQ(fence.failure(), FenceCollective::Failure::Diverged);
+  EXPECT_NE(fence.failure_message().find("shard 0 fenced op 5; shard 2 fenced op 6"),
+            std::string::npos)
+      << fence.failure_message();
+  EXPECT_THROW(fence.arrive_and_wait(), FenceAborted);  // stays failed
+}
+
+TEST(ExecFailStop, PoisonWakesParkedRanks) {
+  FenceCollective fence(3);
+  std::atomic<int> aborted{0};
+  std::vector<std::thread> waiters;
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    waiters.emplace_back([&, r] {
+      try {
+        fence.arrive_and_wait(r, {/*op=*/9, {}});
+      } catch (const FenceAborted&) {
+        aborted.fetch_add(1);
+      }
+    });
+  }
+  fence.poison("shard 2: boom");
+  for (std::thread& t : waiters) t.join();
+  EXPECT_EQ(aborted.load(), 2);
+  EXPECT_EQ(fence.failure(), FenceCollective::Failure::Poisoned);
+  EXPECT_EQ(fence.failure_message(), "shard 2: boom");
+}
+
+TEST(ExecFailStop, ChangedPrivilegeIsCaughtAtTheNextFence) {
+  const DcrStats stats = run_faulty(Fault::Privilege);
+  expect_violation(stats);
+  // Names the fenced op and the diverged shard.
+  EXPECT_NE(stats.violation_message.find("shard 0 fenced op "), std::string::npos)
+      << stats.violation_message;
+  EXPECT_NE(stats.violation_message.find("shard 1 fenced op "), std::string::npos)
+      << stats.violation_message;
+  EXPECT_EQ(stats.violation_message.find("shard 2"), std::string::npos)
+      << stats.violation_message;
+  // With a spy trace the linter names the diverged call instead.
+  expect_violation(run_faulty(Fault::Privilege, /*record_trace=*/true));
+}
+
+TEST(ExecFailStop, ExtraIndexLaunchIsCaughtAtTheNextFence) {
+  const DcrStats stats = run_faulty(Fault::ExtraLaunch);
+  expect_violation(stats);
+  EXPECT_NE(stats.violation_message.find("shard 1 fenced op "), std::string::npos)
+      << stats.violation_message;
+}
+
+// With checks off the arrivals carry op ids only.  Shard 1's trailing write
+// fences as the same op as the others' final execution fence, so every round
+// in the op stream agrees; the others then end their program while shard 1
+// still fences, and that last round must fail rather than leave shard 1
+// parked.
+TEST(ExecFailStop, TrailingLaunchWithChecksOffIsCaught) {
+  const DcrStats stats =
+      run_faulty(Fault::TrailingLaunch, /*record_trace=*/false, /*checks=*/false);
+  expect_violation(stats);
+  EXPECT_NE(stats.violation_message.find("shard 0 ended its program; shard 1 fenced op "),
+            std::string::npos)
+      << stats.violation_message;
+}
+
+TEST(ExecFailStop, ShardExceptionPoisonsTheBarrier) {
+  const DcrStats stats = run_faulty(Fault::Throw);
+  EXPECT_FALSE(stats.completed);
+  EXPECT_TRUE(stats.aborted);
+  EXPECT_FALSE(stats.determinism_violation) << stats.violation_message;
+  EXPECT_EQ(stats.abort_message, "shard 1: injected failure");
 }
 
 // --------------------------------------------- differential fuzz sweeps

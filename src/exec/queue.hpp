@@ -1,13 +1,10 @@
-// Bounded lock-free queues for the real-threads backend.
+// Bounded lock-free queue for the real-threads backend.
 //
 // SpscQueue: single-producer / single-consumer ring buffer with acquire /
 // release publication — the N×N inter-shard mailboxes (one per directed shard
-// pair) use it so future-value delivery never takes a lock.  MpmcQueue: the
-// classic bounded multi-producer / multi-consumer ring with per-cell sequence
-// numbers, used as the fan-in stage of value collectives where every shard
-// pushes its contribution into one queue.
+// pair) use it so future-value delivery never takes a lock.
 //
-// Both are fixed-capacity (power of two) and non-blocking at this layer:
+// It is fixed-capacity (power of two) and non-blocking at this layer:
 // try_push / try_pop return false on full / empty, and close() wakes anyone
 // spinning in the blocking helpers so shutdown-while-blocked cannot hang
 // (tests/test_exec.cpp stresses exactly that).  Blocking helpers park on the
@@ -109,120 +106,10 @@ class SpscQueue {
   std::vector<T> cells_;
   alignas(kCacheLine) std::atomic<std::size_t> head_{0};  // consumer cursor
   alignas(kCacheLine) std::atomic<std::size_t> tail_{0};  // producer cursor
-  // Progress generation (same scheme as MpmcQueue::waiters_): bumped on every
-  // successful push/pop and on close — the only atomic the blocking helpers
-  // park on.  libstdc++ elides the futex syscall when nobody is waiting, so
-  // the lock-free try_ paths stay cheap.
+  // Progress generation: bumped on every successful push/pop and on close —
+  // the only atomic the blocking helpers park on.  libstdc++ elides the futex
+  // syscall when nobody is waiting, so the lock-free try_ paths stay cheap.
   alignas(kCacheLine) std::atomic<std::uint64_t> progress_{0};
-  alignas(kCacheLine) std::atomic<bool> closed_{false};
-};
-
-// Bounded MPMC ring with per-cell sequence numbers (Vyukov): producers claim
-// cells by CAS on the enqueue cursor, consumers by CAS on the dequeue cursor,
-// and the cell's sequence publishes the payload between them.
-template <typename T>
-class MpmcQueue {
- public:
-  explicit MpmcQueue(std::size_t capacity)
-      : capacity_(round_up_pow2(capacity < 2 ? 2 : capacity)),
-        mask_(capacity_ - 1),
-        cells_(capacity_) {
-    for (std::size_t i = 0; i < capacity_; ++i) {
-      cells_[i].seq.store(i, std::memory_order_relaxed);
-    }
-  }
-
-  MpmcQueue(const MpmcQueue&) = delete;
-  MpmcQueue& operator=(const MpmcQueue&) = delete;
-
-  std::size_t capacity() const { return capacity_; }
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
-
-  bool try_push(T v) {
-    if (closed()) return false;
-    std::size_t pos = enqueue_.load(std::memory_order_relaxed);
-    for (;;) {
-      Cell& cell = cells_[pos & mask_];
-      const std::size_t seq = cell.seq.load(std::memory_order_acquire);
-      const std::intptr_t diff =
-          static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(pos);
-      if (diff == 0) {
-        if (enqueue_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
-          cell.value = std::move(v);
-          cell.seq.store(pos + 1, std::memory_order_release);
-          waiters_.fetch_add(1, std::memory_order_release);
-          waiters_.notify_all();
-          return true;
-        }
-      } else if (diff < 0) {
-        return false;  // full
-      } else {
-        pos = enqueue_.load(std::memory_order_relaxed);
-      }
-    }
-  }
-
-  std::optional<T> try_pop() {
-    std::size_t pos = dequeue_.load(std::memory_order_relaxed);
-    for (;;) {
-      Cell& cell = cells_[pos & mask_];
-      const std::size_t seq = cell.seq.load(std::memory_order_acquire);
-      const std::intptr_t diff =
-          static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(pos + 1);
-      if (diff == 0) {
-        if (dequeue_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
-          std::optional<T> v(std::move(cell.value));
-          cell.seq.store(pos + capacity_, std::memory_order_release);
-          waiters_.fetch_add(1, std::memory_order_release);
-          waiters_.notify_all();
-          return v;
-        }
-      } else if (diff < 0) {
-        return std::nullopt;  // empty
-      } else {
-        pos = dequeue_.load(std::memory_order_relaxed);
-      }
-    }
-  }
-
-  bool push(T v) {
-    for (;;) {
-      const std::uint64_t gen = waiters_.load(std::memory_order_acquire);
-      if (try_push(v)) return true;  // copy: v must survive a failed attempt
-      if (closed()) return false;
-      waiters_.wait(gen, std::memory_order_acquire);
-    }
-  }
-
-  std::optional<T> pop() {
-    for (;;) {
-      const std::uint64_t gen = waiters_.load(std::memory_order_acquire);
-      if (auto v = try_pop()) return v;
-      if (closed()) return try_pop();
-      waiters_.wait(gen, std::memory_order_acquire);
-    }
-  }
-
-  void close() {
-    closed_.store(true, std::memory_order_release);
-    waiters_.fetch_add(1, std::memory_order_release);
-    waiters_.notify_all();
-  }
-
- private:
-  struct Cell {
-    std::atomic<std::size_t> seq{0};
-    T value{};
-  };
-
-  const std::size_t capacity_;
-  const std::size_t mask_;
-  std::vector<Cell> cells_;
-  alignas(kCacheLine) std::atomic<std::size_t> enqueue_{0};
-  alignas(kCacheLine) std::atomic<std::size_t> dequeue_{0};
-  // Progress generation: bumped on every successful push/pop/close so blocked
-  // peers re-check instead of sleeping through a state change.
-  alignas(kCacheLine) std::atomic<std::uint64_t> waiters_{0};
   alignas(kCacheLine) std::atomic<bool> closed_{false};
 };
 

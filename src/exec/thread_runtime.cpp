@@ -43,9 +43,9 @@ class ThreadShardContext final : public core::ShardFront {
         state_(st) {}
 
   // Instead of the simulator's per-call collective check, each thread folds
-  // its §3 hash stream into a running 128-bit digest that rides every fence
-  // arrival (FenceCollective) — the check travels with the synchronization
-  // the run does anyway, with no extra cross-thread traffic.
+  // its §3 hash stream into a running 128-bit digest that every fence logs
+  // (CompletionFrontier) — the check travels with the synchronization the run
+  // does anyway, with no extra cross-thread traffic.
   void on_api_call(const char* name, const Hash128& h, SigBuilder& sig) override {
     if (rt_.checks_enabled()) {
       rt_.determinism_checks_.fetch_add(1, std::memory_order_relaxed);
@@ -308,6 +308,8 @@ void ThreadRuntime::ensure_reduce_future(std::uint64_t id, core::ReduceOp rop) {
   it->second.coll = std::make_shared<ValueCollective>(
       static_cast<std::uint32_t>(num_shards()), init,
       [rop](double a, double b) { return core::apply_reduce(rop, a, b); });
+  // A shard that issues a reduction after the run failed must not park on it.
+  if (futures_failed_) it->second.coll->fail();
 }
 
 dcr::scope::TraceCtx ThreadRuntime::scope_ctx(const ThreadShard& st) const {
@@ -326,7 +328,7 @@ void ThreadRuntime::publish_future(ThreadShard& st, std::uint64_t id, double val
     if (peer.id.value == st.id.value) continue;
     // try_push then overflow: the producer must never block on a slow
     // consumer — the consumer may be parked at a fence that needs this
-    // producer's arrival to complete.
+    // producer's progress to pass.
     if (!peer.inbox[st.id.value]->try_push(FutureMsg{id, value, ctx})) {
       std::lock_guard<std::mutex> lk(peer.overflow_mu);
       peer.overflow.push_back(FutureMsg{id, value, ctx});
@@ -362,7 +364,22 @@ ThreadRuntime::CachedFuture ThreadRuntime::wait_broadcast(ThreadShard& st,
     drain_inbox(st);
     auto it2 = st.future_cache.find(id);
     if (it2 != st.future_cache.end()) return it2->second;
+    // The failure flag is set before wake_future_waiters rings the doorbell,
+    // so a failure after this check changes the generation and ends the wait.
+    if (frontier_.failed()) throw FenceAborted();
     st.doorbell.wait(gen, std::memory_order_acquire);
+  }
+}
+
+void ThreadRuntime::wake_future_waiters() {
+  for (auto& sp : shards_) {
+    sp->doorbell.fetch_add(1, std::memory_order_release);
+    sp->doorbell.notify_all();
+  }
+  std::lock_guard<std::mutex> lk(futures_mu_);
+  futures_failed_ = true;
+  for (auto& [id, entry] : futures_) {
+    if (entry.coll) entry.coll->fail();
   }
 }
 
@@ -410,8 +427,8 @@ void ThreadRuntime::process_op(ThreadShard& st, const OpRecord& op) {
   profiler_.emit({op.traced ? prof::SpanKind::CoarseReplay : prof::SpanKind::CoarseAnalysis,
                   prof::Lane::Analysis, st.id.value, c0, c1, op.id.value, prof_iter});
 
-  // ---- fence gating: every shard processes every op, so every shard
-  //      arrives, in the same order; the arrival carries the §3 check ----
+  // ---- fence gating: wait until every peer has executed every op below
+  //      this one; the fence logs the §3 check ----
   if (!dec.fence_sources.empty()) {
     if (accounts) {
       profiler_.global().add(prof::GlobalCounter::FenceCollectives);
@@ -423,7 +440,7 @@ void ThreadRuntime::process_op(ThreadShard& st, const OpRecord& op) {
     // below and this shard's scope fence record, so the two ledgers reconcile
     // exactly by construction.
     if (scope_) scope_->fence_arrival(op.id.value, st.id.value, prof_iter, w0);
-    fence_.arrive_and_wait(st.id.value, {op.id.value, st.call_fold});
+    frontier_.fence(st.id.value, {op.id.value, st.call_fold});
     const SimTime w1 = clock_.now();
     if (scope_) scope_->on_fence_wait(st.id.value, op.id.value, w0, w1);
     pc.add(prof::Counter::FenceWaitNs, w1 - w0);
@@ -446,6 +463,8 @@ void ThreadRuntime::process_op(ThreadShard& st, const OpRecord& op) {
   }
   execute_points(st, op);
   const SimTime f1 = clock_.now();
+  // Publish completion at once: a peer's fence may be waiting on it.
+  frontier_.complete(st.id.value, op.id.value + 1);
   pc.add(prof::Counter::FineAnalysisNs, f1 - f0);
   pc.observe(prof::Hist::FineStageNs, f1 - f0);
   pc.observe(prof::Hist::FinePointsPerOp, owned);
@@ -466,25 +485,26 @@ void ThreadRuntime::execute_points(ThreadShard& st, const OpRecord& op) {
     if (index->future_map_id != ~0ull) {
       st.fm_partials.try_emplace(index->future_map_id);  // identity partials
     }
+    core::PointTaskInfo& info = st.point_info;
+    info.args = launch.args;
     if (op.plan) {
       // Template path: per-point projection results were recorded at capture,
       // so the replay touches neither the forest nor the projection registry.
       for (const PointPlan& pp : *op.plan) {
-        launch_point_task(st, op, pp.point, pp.point_index, pp.reqs, launch.args,
-                          launch.fn, index->future_map_id);
+        info.requirements = pp.reqs;
+        launch_point_task(st, op, pp.point, pp.point_index, launch.fn, index->future_map_id);
       }
     } else {
       const auto& points =
           st.shardings.owned_points(launch.sharding, launch.domain, num_shards(), st.id);
+      info.requirements.resize(launch.requirements.size());
       for (const rt::Point& p : points) {
-        std::vector<rt::Requirement> reqs;
-        reqs.reserve(launch.requirements.size());
-        for (const rt::GroupRequirement& gr : launch.requirements) {
-          reqs.push_back(gr.concretize(st.forest, projections_, p, launch.domain));
+        for (std::size_t i = 0; i < launch.requirements.size(); ++i) {
+          launch.requirements[i].concretize_into(info.requirements[i], st.forest, projections_,
+                                                 p, launch.domain);
         }
         const std::uint64_t point_index = rt::linearize(launch.domain, p);
-        launch_point_task(st, op, p, point_index, reqs, launch.args, launch.fn,
-                          index->future_map_id);
+        launch_point_task(st, op, p, point_index, launch.fn, index->future_map_id);
       }
     }
     return;
@@ -494,8 +514,9 @@ void ThreadRuntime::execute_points(ThreadShard& st, const OpRecord& op) {
     if (core::single_op_owner(op.id, num_shards()) == st.id) {
       rt::Point p;
       p.dim = 1;
-      launch_point_task(st, op, p, 0, task->launch.requirements, task->launch.args,
-                        task->launch.fn, ~0ull, task->future_id);
+      st.point_info.requirements = task->launch.requirements;
+      st.point_info.args = task->launch.args;
+      launch_point_task(st, op, p, 0, task->launch.fn, ~0ull, task->future_id);
     }
     return;
   }
@@ -602,19 +623,17 @@ void ThreadRuntime::execute_points(ThreadShard& st, const OpRecord& op) {
 
 void ThreadRuntime::launch_point_task(ThreadShard& st, const OpRecord& op,
                                       const rt::Point& point, std::uint64_t point_index,
-                                      const std::vector<rt::Requirement>& reqs,
-                                      const std::vector<std::int64_t>& args, FunctionId fn,
-                                      std::uint64_t future_map_id, std::uint64_t future_id) {
+                                      FunctionId fn, std::uint64_t future_map_id,
+                                      std::uint64_t future_id) {
   const TaskId tid(op.id.value * core::kPointsPerOp + point_index);
 
-  core::PointTaskInfo info;
+  core::PointTaskInfo& info = st.point_info;
+  const std::vector<rt::Requirement>& reqs = info.requirements;
   info.fn = fn;
   info.point = point;
-  if (const auto* index = std::get_if<IndexPayload>(&op.payload)) {
-    info.domain = index->launch.domain;
-  }
-  info.requirements = reqs;
-  info.args = args;
+  const auto* index = std::get_if<IndexPayload>(&op.payload);
+  info.domain = index != nullptr ? index->launch.domain : rt::Rect{};
+  info.volume = 0;
   for (const rt::Requirement& r : reqs) {
     info.volume += st.forest.bounds(r.region).volume();
   }
@@ -649,7 +668,8 @@ void ThreadRuntime::launch_point_task(ThreadShard& st, const OpRecord& op,
   }
 
   const SimTime duration = functions_.at(fn).duration(info);
-  FunctionProfile& fp = st.profile[fn];
+  if (fn.value >= st.profile.size()) st.profile.resize(fn.value + 1);
+  FunctionProfile& fp = st.profile[fn.value];
   fp.tasks++;
   fp.total_time += duration;
 
@@ -727,17 +747,18 @@ void ThreadRuntime::shard_main(ThreadShard& st, const core::ApplicationMain& mai
     // Final barrier so the call/op streams match the simulator's
     // finalize_shard and every shard's work is done before join.
     ctx.execution_fence();
-    // One last round, outside the op stream: a shard that fenced more times
-    // than this one fails here instead of parking, and the §3 check covers
-    // every call (exec/collective.hpp).
-    fence_.arrive_and_wait(st.id.value, {FenceCollective::kProgramEnd, st.call_fold});
+    // One last log entry, outside the op stream: a shard that fenced more or
+    // fewer times than this one fails the run instead of parking, and the §3
+    // check covers every call (exec/collective.hpp).
+    frontier_.end(st.id.value, st.call_fold);
   } catch (const FenceAborted&) {
-    // Another shard failed first; its cause is recorded in the fence.
+    // The run failed; its cause is recorded in the frontier.
   } catch (const std::exception& e) {
-    fence_.poison(who + e.what());
+    frontier_.poison(who + e.what());
   } catch (...) {
-    fence_.poison(who + "unknown exception in shard control program");
+    frontier_.poison(who + "unknown exception in shard control program");
   }
+  if (frontier_.failed()) wake_future_waiters();
 }
 
 core::DcrStats ThreadRuntime::execute(const core::ApplicationMain& main) {
@@ -754,13 +775,13 @@ core::DcrStats ThreadRuntime::execute(const core::ApplicationMain& main) {
 
   core::DcrStats stats;
   stats.makespan = clock_.now() - started;  // real wall-clock nanoseconds
-  const FenceCollective::Failure failure = fence_.failure();
-  stats.completed = failure == FenceCollective::Failure::None;
+  const FenceFailure failure = frontier_.failure();
+  stats.completed = failure == FenceFailure::None;
   if (!stats.completed) {
     stats.aborted = true;
-    stats.abort_message = fence_.failure_message();
+    stats.abort_message = frontier_.failure_message();
   }
-  if (failure == FenceCollective::Failure::Diverged) {
+  if (failure == FenceFailure::Diverged) {
     stats.determinism_violation = true;
     stats.violation_message = stats.abort_message;
     if (trace_) {
@@ -786,8 +807,10 @@ core::DcrStats ThreadRuntime::execute(const core::ApplicationMain& main) {
 
   for (const auto& st : shards_) {
     core::fold_shard_counters(*st, profiler_, stats);
-    for (const auto& [fn, fp] : st->profile) {
-      FunctionProfile& merged = profile_[fn];
+    for (std::uint32_t fn = 0; fn < st->profile.size(); ++fn) {
+      const FunctionProfile& fp = st->profile[fn];
+      if (fp.tasks == 0) continue;
+      FunctionProfile& merged = profile_[FunctionId(fn)];
       merged.tasks += fp.tasks;
       merged.total_time += fp.total_time;
     }

@@ -24,28 +24,32 @@
 //    global fence/elision/statics counters, the statics ledger, the coarse
 //    DcrStats mirrors and the spy op/coarse-dep records);
 //  * cross-shard coordination uses wall-clock primitives with the same
-//    semantics as the simulated collectives: one FenceCollective (sense-
-//    reversing barrier) for every pipeline fence of the run, ValueCollective
-//    (MPMC fan-in, rank-ordered combine) for future all-reduce, and bounded
-//    lock-free SPSC mailboxes for broadcast future-value delivery.
+//    ordering as the simulated collectives: one CompletionFrontier for every
+//    pipeline fence of the run (the fence before op B waits until every peer
+//    has executed every op below B, as the simulator's barrier does, without
+//    waiting for peers to reach B), ValueCollective (per-rank slots,
+//    rank-ordered combine) for future all-reduce, and bounded lock-free SPSC
+//    mailboxes for broadcast future-value delivery.
 //
-// Fail-stop: every fence arrival carries the op it fences and the shard's
-// running §3 call fold, and the last arriver compares them, so a diverged
-// shard is caught at its next fence (at the latest, at the program-end
-// arrival every shard makes after its final fence) and the run aborts with a
-// determinism violation naming the op and the shards.  A shard whose control
-// program throws poisons the barrier, so the other shards unwind and the run
-// aborts with that cause.
+// Fail-stop: every fenced op logs the op it fences and the shard's running §3
+// call fold, and the shard that logs an ordinal last compares every shard's
+// entry, so a diverged shard is caught at its next fence (at the latest, at
+// the program-end entry every shard logs after its final fence) and the run
+// aborts with a determinism violation naming the op and the shards.  A shard
+// whose control program throws poisons the frontier.  Either way every shard
+// parked at a fence or in a future wait (single-task mailbox or reduce
+// collective) wakes and unwinds, and the run aborts with the first cause.
 //
 // tests/test_exec.cpp enforces the property by running every fuzz program
 // through both backends and diffing with spy::graph_equivalent.
 //
 // dcr-scope on threads (ThreadConfig::scope): the full causal-tracing stack
 // runs on wall-clock time — TraceCtx rides the SPSC mailbox payloads, each
-// shard writes its fence arrival/wake instants and arrival context into its
-// own single-writer Recorder ledger, and the join folds them into per-fence
-// blame records that reconcile exactly against prof FenceWaitNs because the
-// *same two clock reads* feed both ledgers.  A bounded per-shard flight-recorder ring
+// shard writes its fence arrival/wake instants into its own single-writer
+// Recorder ledger, and the join folds them into per-fence blame records (the
+// releaser is the shard whose completion of the ops below the fence came
+// last) that reconcile exactly against prof FenceWaitNs because the *same two
+// clock reads* feed both ledgers.  A bounded per-shard flight-recorder ring
 // (scope/flight.hpp) is dumped on determinism-violation aborts for
 // post-mortem triage without a re-run.
 //
@@ -229,10 +233,13 @@ class ThreadRuntime {
     core::ShardingRegistry shardings;
     std::unique_ptr<statics::InterferenceProver> prover;  // over this forest
     std::unique_ptr<core::CoarseAnalyzer> coarse;         // this shard's replica
-    Hash128 call_fold{};  // running fold of §3 call hashes, carried on fence arrivals
+    Hash128 call_fold{};  // running fold of §3 call hashes, logged at every fence
     std::map<std::uint64_t, CachedFuture> future_cache;  // delivered broadcast values
     std::map<std::uint64_t, FmPartial> fm_partials; // own partials per future map
-    std::map<FunctionId, FunctionProfile> profile;  // merged into profile_ at join
+    std::vector<FunctionProfile> profile;  // by FunctionId; merged into profile_ at join
+    // Fine-stage scratch reused by every point task, so a launch copies
+    // requirements and args into existing capacity instead of allocating.
+    core::PointTaskInfo point_info;
     // Inbound future-value transport: one SPSC ring per producer shard plus
     // a mutexed overflow so producers never block (see ThreadConfig).
     std::vector<std::unique_ptr<SpscQueue<FutureMsg>>> inbox;
@@ -261,13 +268,17 @@ class ThreadRuntime {
   void issue(class ThreadShardContext& ctx, core::OpPayload payload);
   void process_op(ThreadShard& st, const core::OpRecord& op);
   void execute_points(ThreadShard& st, const core::OpRecord& op);
+  // Launches one point task whose requirements and args the caller has put
+  // into st.point_info.
   void launch_point_task(ThreadShard& st, const core::OpRecord& op, const rt::Point& point,
-                         std::uint64_t point_index, const std::vector<rt::Requirement>& reqs,
-                         const std::vector<std::int64_t>& args, FunctionId fn,
-                         std::uint64_t future_map_id, std::uint64_t future_id = ~0ull);
+                         std::uint64_t point_index, FunctionId fn, std::uint64_t future_map_id,
+                         std::uint64_t future_id = ~0ull);
   void record_realized_locked(TaskId tid, OpId op, std::uint64_t point_index,
                               const std::vector<TaskId>& preds);
   void shard_main(ThreadShard& st, const core::ApplicationMain& main);
+  // After a run failure: wake every shard parked in a future wait (mailbox
+  // doorbells, pending reduce collectives) so it unwinds with FenceAborted.
+  void wake_future_waiters();
   void busy_spin(SimTime wall_ns);
 
   core::FunctionRegistry& functions_;
@@ -278,8 +289,8 @@ class ThreadRuntime {
   statics::LaunchLedger statics_ledger_;  // written by shard 0's analyzer only
   core::UserTracker tracker_;
   ConcurrencyGate gate_{config_.compute_slots};
-  // Every pipeline fence of the run, in the order every shard passes them.
-  FenceCollective fence_{static_cast<std::uint32_t>(config_.num_shards)};
+  // Every pipeline fence of the run, and its fail-stop state.
+  CompletionFrontier frontier_{static_cast<std::uint32_t>(config_.num_shards)};
 
   std::vector<std::unique_ptr<ThreadShard>> shards_;
 
@@ -296,6 +307,7 @@ class ThreadRuntime {
 
   std::mutex futures_mu_;
   std::map<std::uint64_t, FutureEntry> futures_;
+  bool futures_failed_ = false;  // guarded by futures_mu_; set by wake_future_waiters
 
   std::atomic<std::uint64_t> point_tasks_launched_{0};
   std::atomic<std::uint64_t> determinism_checks_{0};

@@ -157,12 +157,21 @@ struct GroupRequirement {
   Requirement concretize(const RegionForest& forest, const ProjectionRegistry& projs,
                          const Point& p, const Rect& domain) const {
     Requirement req;
-    req.region = uses_partition() ? projs.apply(projection, forest, partition, p, domain)
-                                  : region;
-    req.fields = fields;
-    req.privilege = privilege;
-    req.redop = redop;
+    concretize_into(req, forest, projs, p, domain);
     return req;
+  }
+
+  // As concretize, into an existing Requirement: the field list is copy-
+  // assigned, so a reused `out` keeps its capacity and the fine stage's
+  // per-point loop does not allocate.
+  void concretize_into(Requirement& out, const RegionForest& forest,
+                       const ProjectionRegistry& projs, const Point& p,
+                       const Rect& domain) const {
+    out.region = uses_partition() ? projs.apply(projection, forest, partition, p, domain)
+                                  : region;
+    out.fields = fields;
+    out.privilege = privilege;
+    out.redop = redop;
   }
 
   // Upper-bound region covering every point's concrete requirement.

@@ -7,8 +7,8 @@
 //                     template replay) — this becomes the shard's *current
 //                     span*, the causal parent of everything it does next;
 //   - fence_arrival   when a shard's control thread reaches a fence — records
-//                     the arrival (op, iteration, time, causal context) in the
-//                     shard's ledger and returns that context;
+//                     the arrival (op, iteration, time) in the shard's
+//                     ledger and returns the shard's causal context;
 //   - on_fence_wait   when a shard's fence wait resolves — records the wake
 //                     time beside the arrival and feeds the flight recorder;
 //   - on_future_wait  when a blocking future wait resolves, with the merged
@@ -20,7 +20,7 @@
 //   - harvest_fence   at end of a simulator run, copying each simulated
 //                     FenceCollective's per-rank timestamps and merged releaser;
 //   - harvest_shard_fences  at the join of a threads run, building the same
-//                     records from the per-shard fence arrivals instead.
+//                     records from the per-shard fence arrivals and spans.
 //
 // Thread-safety model (DESIGN.md §17): every hot-path hook writes only the
 // calling shard's *single-writer* append ledger — no locks, no shared
@@ -85,7 +85,6 @@ struct FenceArrival {
   std::uint64_t iter = kNoIter;
   SimTime arrived_at = kTimeNever;
   SimTime completed_at = kTimeNever;
-  TraceCtx ctx;                  // the shard's causal context at arrival
 };
 
 // The blame ledger entry for one non-elided fence.
@@ -203,9 +202,8 @@ class Recorder {
   // stamp onto it.
   TraceCtx fence_arrival(std::uint64_t fence_op, std::uint32_t shard,
                          std::uint64_t iter, SimTime now) {
-    const TraceCtx ctx = current_ctx(shard, now);
-    ledger(shard).fences.push_back(FenceArrival{fence_op, iter, now, kTimeNever, ctx});
-    return ctx;
+    ledger(shard).fences.push_back(FenceArrival{fence_op, iter, now, kTimeNever});
+    return current_ctx(shard, now);
   }
 
   // A shard's fence wait resolved: [started, ended) is exactly the interval
@@ -244,13 +242,14 @@ class Recorder {
   }
 
   // Join of a threads run (quiesced): every shard passed the same fences in
-  // the same order through one barrier, so round i is the i-th arrival in
-  // every shard's ledger.  Builds one FenceRec per round, in round order,
-  // exactly as the simulated collective folds its blame: the releaser is the
-  // latest-merge of the arrival contexts in rank order, and the last arriver
-  // is the latest arrival, ties going to the larger rank.  A run that aborted
-  // on a divergence stops at the first round whose shards fenced different
-  // ops.
+  // the same order, so fence i is the i-th arrival in every shard's ledger.
+  // Builds one FenceRec per fence, in fence order.  A shard's wait at the
+  // fence before op B ends once every peer has executed every op below B, so
+  // the fence is released by the shard whose fine stage of op B-1 ended last:
+  // the releaser is the latest-merge, in rank order, of each shard's span of
+  // op B-1 stamped with its end (ties go to the larger rank), and the fence
+  // completed at that instant.  A run that aborted on a divergence stops at
+  // the first fence whose shards fenced different ops.
   void harvest_shard_fences() {
     std::size_t rounds = shards_.empty() ? 0 : shards_[0]->fences.size();
     for (const auto& led : shards_) rounds = std::min(rounds, led->fences.size());
@@ -269,15 +268,17 @@ class Recorder {
         rec.complete = rec.complete && rec.shards[r].completed();
         if (rec.iter == kNoIter) rec.iter = a.iter;
         if (a.arrived_at < rec.first_arrival) rec.first_arrival = a.arrived_at;
-        if (rec.last_shard == kNoShard || a.arrived_at > rec.last_arrival ||
-            (a.arrived_at == rec.last_arrival && r > rec.last_shard)) {
+        if (rec.last_arrival == kTimeNever || a.arrived_at > rec.last_arrival) {
           rec.last_arrival = a.arrived_at;
-          rec.last_shard = r;
         }
-        rec.releaser = latest(rec.releaser, a.ctx);
+        if (const SpanRec* sp = op_span(r, rec.op - 1)) {
+          rec.releaser = latest(rec.releaser, TraceCtx{trace_, sp->id, r, sp->end});
+        }
       }
-      // The round released when its last rank arrived.
-      rec.completed_at = rec.last_arrival;
+      if (rec.releaser.valid()) {
+        rec.last_shard = rec.releaser.origin;
+        rec.completed_at = rec.releaser.at;
+      }
       fences_.push_back(std::move(rec));
     }
     fences_count_.store(fences_.size(), std::memory_order_relaxed);
@@ -424,6 +425,14 @@ class Recorder {
   const ShardLedger& ledger(std::uint32_t shard) const {
     DCR_CHECK(shard < shards_.size());
     return *shards_[shard];
+  }
+
+  // `shard`'s span of `op` (its spans are appended in op order), or null.
+  const SpanRec* op_span(std::uint32_t shard, std::uint64_t op) const {
+    const std::vector<SpanRec>& spans = ledger(shard).spans;
+    auto it = std::lower_bound(spans.begin(), spans.end(), op,
+                               [](const SpanRec& sp, std::uint64_t o) { return sp.op < o; });
+    return it != spans.end() && it->op == op ? &*it : nullptr;
   }
 
   // Iteration label for a fence, merged across shards: the first non-kNoIter

@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -71,14 +73,6 @@ TEST(SpscQueue, CloseDrainsPendingItems) {
   EXPECT_FALSE(q.pop().has_value()) << "drained + closed pop returns empty";
 }
 
-TEST(MpmcQueue, FifoPerProducerAndBackpressure) {
-  MpmcQueue<int> q(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.try_push(i));
-  EXPECT_FALSE(q.try_push(99));
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(q.try_pop().value(), i);
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
 TEST(FenceCollective, ReusableAcrossGenerations) {
   constexpr std::uint32_t kRanks = 4;
   constexpr int kRounds = 50;
@@ -118,6 +112,76 @@ TEST(ValueCollective, CombinesInRankOrderRegardlessOfArrival) {
     ASSERT_TRUE(coll.ready());
     EXPECT_EQ(coll.result(), expected);
   }
+}
+
+TEST(ValueCollective, FailWakesWaiterAndLeavesACompletedOneAlone) {
+  ValueCollective pending(2, 0.0, [](double a, double b) { return a + b; });
+  pending.arrive(0, 1.0);
+  std::thread waiter([&] { EXPECT_THROW(pending.wait(), FenceAborted); });
+  pending.fail();
+  waiter.join();
+  EXPECT_FALSE(pending.ready());
+
+  ValueCollective done(1, 0.0, [](double a, double b) { return a + b; });
+  done.arrive(0, 2.5);
+  done.fail();  // too late: the result stands
+  EXPECT_EQ(done.wait(), 2.5);
+}
+
+// The frontier fence waits for peers to *complete* the ops below it, not to
+// reach it: rank 0 passes its fence while rank 1, its ops done, is held back
+// until rank 0 has passed.  A fence that needed rank 1's arrival would keep
+// both parked until rank 1 gives up after 10 s.
+TEST(CompletionFrontier, FenceWaitsForPeerCompletionNotArrival) {
+  CompletionFrontier frontier(2);
+  std::atomic<bool> passed{false};
+  std::thread peer([&] {
+    frontier.complete(1, 5);  // ops 0..4 executed
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!passed.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(passed.load()) << "rank 0's fence waited for rank 1 to arrive";
+    frontier.fence(1, {5, {}});
+    frontier.complete(1, 6);
+    frontier.end(1, {});
+  });
+  frontier.complete(0, 5);
+  frontier.fence(0, {5, {}});
+  passed.store(true);
+  frontier.complete(0, 6);
+  frontier.end(0, {});
+  peer.join();
+  EXPECT_EQ(frontier.failure(), FenceFailure::None);
+}
+
+// Every rank waits in its fence until each peer has published completion of
+// every op below it.
+TEST(CompletionFrontier, NoRankPassesAFenceBeforeEveryPeerCompletedTheOpsBelow) {
+  constexpr std::uint32_t kRanks = 4;
+  constexpr std::uint64_t kOps = 200;
+  CompletionFrontier frontier(kRanks);
+  std::vector<std::atomic<std::uint64_t>> executed(kRanks);
+  std::atomic<bool> early{false};
+  std::vector<std::thread> threads;
+  for (std::uint32_t r = 0; r < kRanks; ++r) {
+    threads.emplace_back([&, r] {
+      for (std::uint64_t op = 0; op < kOps; ++op) {
+        if (op % 3 == 1) {  // every third op is fenced
+          frontier.fence(r, {op, {}});
+          for (const auto& e : executed) {
+            if (e.load() < op) early.store(true);
+          }
+        }
+        executed[r].store(op + 1);
+        frontier.complete(r, op + 1);
+      }
+      frontier.end(r, {});
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_FALSE(early.load());
+  EXPECT_EQ(frontier.failure(), FenceFailure::None);
 }
 
 TEST(ConcurrencyGate, NeverExceedsSlotCap) {
@@ -180,40 +244,8 @@ TEST(WallClock, MonotonicRealNanoseconds) {
 }
 
 // ===========================================================================
-// Stress (ISSUE satellite: fan-in, backpressure, shutdown-while-blocked)
+// Stress: backpressure and shutdown-while-blocked
 // ===========================================================================
-
-TEST(QueueStress, MpmcMultiProducerFanIn) {
-  // The ValueCollective fan-in shape: many producers, one consumer, a queue
-  // much smaller than the item count so the full/empty edges are hot.
-  constexpr int kProducers = 8;
-  constexpr int kPerProducer = 1000;
-  MpmcQueue<std::uint64_t> q(16);
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.push((static_cast<std::uint64_t>(p) << 32) | i));
-      }
-    });
-  }
-  std::vector<std::uint32_t> last_seen(kProducers, 0);
-  std::uint64_t popped = 0;
-  std::thread consumer([&] {
-    while (popped < kProducers * kPerProducer) {
-      auto v = q.pop();
-      ASSERT_TRUE(v.has_value());
-      const int p = static_cast<int>(*v >> 32);
-      const std::uint32_t i = static_cast<std::uint32_t>(*v);
-      if (i > 0) EXPECT_EQ(i, last_seen[p] + 1) << "per-producer FIFO broken";
-      last_seen[p] = i;
-      popped++;
-    }
-  });
-  for (auto& t : producers) t.join();
-  consumer.join();
-  EXPECT_EQ(popped, static_cast<std::uint64_t>(kProducers) * kPerProducer);
-}
 
 TEST(QueueStress, SpscFullQueueBackpressure) {
   // 1000 iterations of a capacity-2 ring: the producer is almost always
@@ -255,21 +287,6 @@ TEST(QueueStress, ShutdownWhileBlocked) {
     q.close();
     consumer.join();
     producer.join();
-  }
-}
-
-TEST(QueueStress, MpmcShutdownWhileBlocked) {
-  for (int iter = 0; iter < 1000; ++iter) {
-    MpmcQueue<int> q(2);
-    std::thread popper([&] { (void)q.pop(); });
-    std::thread pusher([&] {
-      int i = 0;
-      while (q.push(i) && ++i < 4) {
-      }
-    });
-    q.close();
-    popper.join();
-    pusher.join();
   }
 }
 
@@ -615,8 +632,8 @@ TEST(ExecParity, EveryApiCallAgreesAcrossBackends) {
 // ------------------------------------------------ coarse replicas
 
 // Every shard decides every op on its own CoarseAnalyzer replica, shard 0
-// alone does the once-per-op accounting, and every fence goes through one
-// run-wide barrier.  Eight shard threads on a smaller host run far apart,
+// alone does the once-per-op accounting, and every fence goes through the
+// run's completion frontier.  Eight shard threads on a smaller host run far apart,
 // and the two programs between them mix captured, validated, replayed and
 // fresh ops with blocking futures.  The runs must match the simulator on
 // stats, prof counters and the collective globals, and the scope ledger
@@ -748,16 +765,139 @@ TEST(ExecReplicas, ShardFenceLedgersMatchSimulatorAndReconcile) {
       functions, opt, "phase stencil");
 }
 
+// ------------------------------------------------------ completion frontier
+
+// The fence guarantee observed from inside the tasks: every point task takes
+// a global sequence stamp in its duration model, and the spy trace gives each
+// op's fence sources.  For every fenced op B, every point of B (on any shard)
+// must be stamped after every point of every op below B (on any shard).  The
+// stamps are one atomic's modification order, which respects happens-before,
+// so a fence that let a shard start B's points before a peer finished an
+// earlier op could show up as an inversion.
+struct StampLog {
+  explicit StampLog(std::size_t shards) : per_shard(shards) {}
+  std::atomic<std::uint64_t> seq{0};
+  std::vector<std::vector<std::uint64_t>> per_shard;  // each appended by its shard only
+};
+
+// Set by each shard thread before its control program runs.
+thread_local std::uint32_t tls_stamp_shard = 0;
+
+// A copy of `src` (same FunctionIds) whose duration models also stamp.
+void register_stamped(const FunctionRegistry& src, StampLog* log, FunctionRegistry* out) {
+  for (std::uint32_t i = 0; i < src.size(); ++i) {
+    core::TaskFunction f = src.at(FunctionId(i));
+    f.duration = [inner = f.duration, log](const core::PointTaskInfo& info) {
+      log->per_shard[tls_stamp_shard].push_back(
+          log->seq.fetch_add(1, std::memory_order_relaxed));
+      return inner(info);
+    };
+    out->register_function(std::move(f));
+  }
+}
+
+void expect_fences_order_points(const ApplicationMain& app, const FunctionRegistry& base,
+                                std::size_t shards, const DiffOptions& opt,
+                                const std::string& what) {
+  StampLog log(shards);
+  FunctionRegistry functions;
+  register_stamped(base, &log, &functions);
+  ThreadConfig cfg;
+  cfg.num_shards = shards;
+  cfg.record_trace = true;
+  cfg.statics_check = opt.statics_check;
+  cfg.auto_trace = opt.auto_trace;
+  ThreadRuntime rt(functions, cfg);
+  const DcrStats stats = rt.execute([&app](core::Context& ctx) {
+    tls_stamp_shard = ctx.shard_id().value;
+    app(ctx);
+  });
+  ASSERT_TRUE(stats.completed) << what << ": " << stats.abort_message;
+  const spy::Trace& trace = *rt.trace();
+
+  // Point tasks are the tasks of index launches and single tasks; each
+  // shard launches them, and so stamps, in its trace order.
+  std::map<std::uint64_t, const spy::OpRecord*> ops;
+  for (const spy::OpRecord& op : trace.ops) ops[op.id.value] = &op;
+  std::vector<std::vector<std::uint64_t>> point_ops(shards);
+  for (const spy::TaskRecord& t : trace.tasks) {
+    const std::string& kind = ops.at(t.op.value)->kind;
+    if (kind == "index_launch" || kind == "task") point_ops[t.shard.value].push_back(t.op.value);
+  }
+  struct Range {
+    std::uint64_t lo = ~0ull;
+    std::uint64_t hi = 0;
+  };
+  std::map<std::uint64_t, Range> stamps;  // op -> stamps of its points, all shards
+  for (std::size_t s = 0; s < shards; ++s) {
+    ASSERT_EQ(point_ops[s].size(), log.per_shard[s].size()) << what << ": shard " << s;
+    for (std::size_t i = 0; i < point_ops[s].size(); ++i) {
+      Range& r = stamps[point_ops[s][i]];
+      r.lo = std::min(r.lo, log.per_shard[s][i]);
+      r.hi = std::max(r.hi, log.per_shard[s][i]);
+    }
+  }
+
+  std::size_t checked = 0;
+  std::uint64_t below = 0;  // 1 + the latest stamp of any point of the ops so far
+  for (const auto& [id, op] : ops) {
+    auto it = stamps.find(id);
+    if (it == stamps.end()) continue;
+    if (!op->fence_sources.empty()) {
+      EXPECT_GE(it->second.lo, below)
+          << what << ": a point of fenced op " << id << " ran before a point of an earlier op";
+      ++checked;
+    }
+    below = std::max(below, it->second.hi + 1);
+  }
+  EXPECT_GT(checked, 0u) << what;
+}
+
+TEST(ExecProgressFence, LoopFuzzPointsRunAfterEveryEarlierOp) {
+  for (std::uint64_t seed = 0; seed < 25; ++seed) {
+    Philox4x32 rng(fuzz::seed_for_label("exec-loop", seed), /*stream=*/13);
+    const fuzz::LoopDcrProgram program = fuzz::generate_loop(rng, /*tiles=*/6);
+    FunctionRegistry functions;
+    const FunctionId fn = functions.register_simple("t", us(1), 1.0);
+    DiffOptions opt;
+    opt.statics_check = true;
+    const ApplicationMain app = fuzz::materialize_loop(program, fn, /*use_trace=*/true);
+    for (std::size_t shards : {2u, 4u, 8u}) {
+      expect_fences_order_points(app, functions, shards, opt,
+                                 "loop seed " + std::to_string(seed) + " shards " +
+                                     std::to_string(shards));
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(ExecProgressFence, PhaseStencilPointsRunAfterEveryEarlierOp) {
+  DiffOptions opt;
+  opt.auto_trace.enabled = true;
+  opt.auto_trace.min_period = 2;
+  opt.auto_trace.probe = 6;
+  opt.auto_trace.promote_periods = 1;
+  FunctionRegistry functions;
+  const apps::StencilConfig phase{.cells_per_tile = 32, .tiles = 16, .steps = 48,
+                                  .phase_every = 6};
+  const ApplicationMain app =
+      apps::make_stencil_app(phase, apps::register_stencil_functions(functions, 1.0));
+  for (std::size_t shards : {2u, 4u, 8u}) {
+    expect_fences_order_points(app, functions, shards, opt,
+                               "phase stencil shards " + std::to_string(shards));
+  }
+}
+
 // ------------------------------------------------------------- fail-stop
 
 // A control divergence or a shard exception must end the run, bounded, with
 // a classified outcome.  Each replica decides its own ops, so a diverged
-// shard fences differently; the fence-carried §3 check (op id + call fold on
-// every arrival) catches it, and a throwing shard poisons the barrier.  A
-// futures-free stencil-shaped loop: each iteration writes its own pieces and
-// reads its neighbours' halos, so every iteration fences.  These tests run
-// as their own ctest entries with a TIMEOUT, so a regression fails instead of
-// hanging.
+// shard fences differently; the fence-carried §3 check (op id + call fold in
+// every fence log entry) catches it, and a throwing shard poisons the
+// frontier.  A futures-free stencil-shaped loop: each iteration writes its
+// own pieces and reads its neighbours' halos, so every iteration fences.
+// These tests run as their own ctest entries with a TIMEOUT, so a regression
+// fails instead of hanging.
 enum class Fault { Privilege, ExtraLaunch, TrailingLaunch, Throw };
 
 ApplicationMain faulty_stencil(FunctionId fn, Fault fault) {
@@ -857,6 +997,105 @@ TEST(ExecFailStop, PoisonWakesParkedRanks) {
   EXPECT_EQ(fence.failure_message(), "shard 2: boom");
 }
 
+// The frontier's §3 check: whichever rank logs an ordinal last compares every
+// rank's entry with rank 0's, so the message names rank 0's entry and the
+// rank that differs whatever the interleaving, and every rank unwinds.
+TEST(ExecFailStop, FrontierMismatchFailsEveryRank) {
+  constexpr std::uint32_t kRanks = 3;
+  CompletionFrontier frontier(kRanks);
+  std::atomic<int> aborted{0};
+  std::vector<std::thread> threads;
+  for (std::uint32_t r = 0; r < kRanks; ++r) {
+    threads.emplace_back([&, r] {
+      try {
+        frontier.complete(r, 4);
+        frontier.fence(r, {/*op=*/4, {}});  // a clean fence first
+        frontier.complete(r, 7);
+        frontier.fence(r, {/*op=*/r == 2 ? 6u : 5u, {}});
+        frontier.complete(r, 8);
+        frontier.end(r, {});
+      } catch (const FenceAborted&) {
+        aborted.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(aborted.load(), static_cast<int>(kRanks));
+  EXPECT_EQ(frontier.failure(), FenceFailure::Diverged);
+  EXPECT_EQ(frontier.failure_message(),
+            "control determinism violation at a cross-shard fence: shard 0 fenced op 5; "
+            "shard 2 fenced op 6");
+  EXPECT_THROW(frontier.fence(0, {9, {}}), FenceAborted);  // stays failed
+}
+
+TEST(ExecFailStop, FrontierPoisonWakesWaitingRanks) {
+  CompletionFrontier frontier(3);
+  std::atomic<int> aborted{0};
+  std::vector<std::thread> waiters;
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    waiters.emplace_back([&, r] {
+      try {
+        frontier.fence(r, {/*op=*/9, {}});  // rank 2 never completes op 8
+      } catch (const FenceAborted&) {
+        aborted.fetch_add(1);
+      }
+    });
+  }
+  frontier.poison("shard 2: boom");
+  for (std::thread& t : waiters) t.join();
+  EXPECT_EQ(aborted.load(), 2);
+  EXPECT_EQ(frontier.failure(), FenceFailure::Poisoned);
+  EXPECT_EQ(frontier.failure_message(), "shard 2: boom");
+}
+
+// A shard that fails before producing a future must not leave its peers
+// parked in get_future.  Two shards; shard 1 throws before issuing anything.
+// Shard 0 issues two fence-free ops — a single task it owns (op 0) and the
+// single task with the future, owned by shard 1 (op 1) — or an index launch
+// and its reduction, then waits on the future.
+ApplicationMain fails_before_producer(FunctionId fn, bool reduce) {
+  return [fn, reduce](core::Context& ctx) {
+    if (ctx.shard_id().value == 1) throw std::runtime_error("failed before the producer");
+    core::Future f;
+    if (reduce) {
+      core::IndexLaunch il;
+      il.fn = fn;
+      il.domain = rt::Rect::r1(0, 1);
+      il.wants_futures = true;
+      f = ctx.reduce_future_map(ctx.index_launch(il), core::ReduceOp::Sum);
+    } else {
+      core::TaskLaunch tl;
+      tl.fn = fn;
+      ctx.launch(tl);
+      tl.wants_future = true;
+      f = ctx.launch(tl);
+    }
+    (void)ctx.get_future(f);
+  };
+}
+
+void expect_wait_unwinds(bool reduce) {
+  FunctionRegistry functions;
+  const FunctionId fn = functions.register_simple(
+      "valued", us(1), 1.0, [](const core::PointTaskInfo&) { return 1.0; });
+  ThreadConfig cfg;
+  cfg.num_shards = 2;
+  ThreadRuntime rt(functions, cfg);
+  const DcrStats stats = rt.execute(fails_before_producer(fn, reduce));
+  EXPECT_FALSE(stats.completed);
+  EXPECT_TRUE(stats.aborted);
+  EXPECT_FALSE(stats.determinism_violation) << stats.violation_message;
+  EXPECT_EQ(stats.abort_message, "shard 1: failed before the producer");
+}
+
+TEST(ExecFailStop, SingleTaskFutureWaitWakesOnShardFailure) {
+  expect_wait_unwinds(/*reduce=*/false);
+}
+
+TEST(ExecFailStop, ReduceFutureWaitWakesOnShardFailure) {
+  expect_wait_unwinds(/*reduce=*/true);
+}
+
 TEST(ExecFailStop, ChangedPrivilegeIsCaughtAtTheNextFence) {
   const DcrStats stats = run_faulty(Fault::Privilege);
   expect_violation(stats);
@@ -878,11 +1117,11 @@ TEST(ExecFailStop, ExtraIndexLaunchIsCaughtAtTheNextFence) {
       << stats.violation_message;
 }
 
-// With checks off the arrivals carry op ids only.  Shard 1's trailing write
-// fences as the same op as the others' final execution fence, so every round
-// in the op stream agrees; the others then end their program while shard 1
-// still fences, and that last round must fail rather than leave shard 1
-// parked.
+// With checks off the fence log entries carry op ids only.  Shard 1's
+// trailing write fences as the same op as the others' final execution fence,
+// so every entry in the op stream agrees; the others then end their program
+// while shard 1 still fences, and that entry must fail the run rather than
+// leave shard 1 parked.
 TEST(ExecFailStop, TrailingLaunchWithChecksOffIsCaught) {
   const DcrStats stats =
       run_faulty(Fault::TrailingLaunch, /*record_trace=*/false, /*checks=*/false);
